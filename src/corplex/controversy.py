@@ -51,12 +51,20 @@ def detect_reverts(history: Sequence, match_policy: str = "latest") -> list[Reve
         if cur.rev_index <= prev.rev_index:
             raise ValueError("history is not sorted by rev_index")
     events: list[RevertEvent] = []
-    seen: dict[str, list[int]] = {}
+    # per hash: the first position and the last two, which is all that
+    # "latest" and "earliest" need, since only pos - 1 is ever excluded
+    seen: dict[str, tuple[int, int | None, int]] = {}
     for pos, rev in enumerate(history):
         digest = _text_hash(rev.raw_text)
-        matches = [i for i in seen.get(digest, []) if i < pos - 1]
-        if matches:
-            i = max(matches) if match_policy == "latest" else min(matches)
+        prior = seen.get(digest)
+        i = None
+        if prior is not None:
+            first, second_last, last = prior
+            if match_policy == "latest":
+                i = last if last < pos - 1 else second_last
+            elif first < pos - 1:
+                i = first
+        if i is not None:
             reverted = history[pos - 1].editor
             events.append(
                 RevertEvent(
@@ -67,7 +75,7 @@ def detect_reverts(history: Sequence, match_policy: str = "latest") -> list[Reve
                     self_revert=rev.editor == reverted,
                 )
             )
-        seen.setdefault(digest, []).append(pos)
+        seen[digest] = (pos, None, pos) if prior is None else (prior[0], prior[2], pos)
     return events
 
 

@@ -5,6 +5,13 @@ is idempotent by construction: link anchors survive, templates, tables,
 refs, comments, and tag/entity noise do not.  Dump parsing is streaming —
 memory is bounded by one <page> element, and a concatenation of dumps
 parses as the concatenation of their pages.
+
+Everything here runs in time linear in its input: the page chunker reads
+each byte once and joins a page's blocks once, and every markup pass is a
+single forward scan (no pattern can backtrack over the rest of the text),
+so one malformed or vandalised page cannot stall a dump.  The fixpoint is
+capped at 100 passes, each linear, and hitting the cap is counted as the
+``markup_fixpoint_cap`` warning.
 """
 
 from __future__ import annotations
@@ -34,14 +41,14 @@ class RevisionRecord(NamedTuple):
     raw_text: str
 
 
-_COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
-_REF_RE = re.compile(r"<ref\b[^<>]*?/\s*>|<ref\b[^<>]*?>.*?</ref\s*>", re.DOTALL | re.IGNORECASE)
-_PARAM_RE = re.compile(r"\{\{\{[^{}]*\}\}\}")
-_HEADING_RE = re.compile(r"^[ \t]*=+[ \t]*(.*?)[ \t]*=+[ \t]*$", re.MULTILINE)
+_REF_OPEN_RE = re.compile(r"<ref\b([^<>]*)([<>]|\Z)", re.IGNORECASE)
+_REF_CLOSE_RE = re.compile(r"</ref\s*>", re.IGNORECASE)
+_HEADING_RE = re.compile(r"^[ \t]*=[^\n]*=[ \t]*$", re.MULTILINE)
 _LIST_RE = re.compile(r"^[ \t]*[*#;:]+[ \t]*", re.MULTILINE)
 _HR_RE = re.compile(r"^-{4,}[ \t]*$", re.MULTILINE)
 _LINK_RE = re.compile(r"\[\[([^\[\]]*)\]\]")
-_EXT_LINK_RE = re.compile(r"\[(?:https?|ftp)://[^\s\]]*(?:[ \t]+([^\]]*))?\]", re.IGNORECASE)
+_EXT_OPEN_RE = re.compile(r"\[(?:https?|ftp)://", re.IGNORECASE)
+_URL_RE = re.compile(r"[^\s\]]*")
 _TAG_RE = re.compile(r"</?[A-Za-z][^<>]*>")
 _MAGIC_RE = re.compile(r"__[A-Z]+__")
 _QUOTES_RE = re.compile(r"'{2,}")
@@ -52,11 +59,93 @@ _DROP_LINK_PREFIXES = {"category", "file", "image", "media"}
 _NAMED_ENTITIES = dict(html.entities.name2codepoint)
 _NAMED_ENTITIES["apos"] = 0x27
 
+_MAX_PASSES = 100
+
 
 def _remove_comments(s: str) -> str:
-    s = _COMMENT_RE.sub("", s)
+    """Drop every <!--...--> span; an unclosed opener drops the rest."""
+    parts = []
+    i = 0
+    while True:
+        start = s.find("<!--", i)
+        if start == -1:
+            break
+        end = s.find("-->", start + 4)
+        if end == -1:
+            break  # no "-->" follows, so no later opener closes either
+        parts.append(s[i:start])
+        i = end + 3
+    parts.append(s[i:])
+    s = "".join(parts)
+    # the unclosed opener, or one spliced together by the removals
     start = s.find("<!--")
     return s[:start] if start != -1 else s
+
+
+def _remove_refs(s: str) -> str:
+    """Drop <ref .../> tags and <ref ...>...</ref> spans (case-insensitive).
+
+    A <ref ...> with no </ref> after it stays, and once no </ref> follows,
+    only self-closing tags are looked for.
+    """
+    parts = []
+    i = pos = 0
+    closers_left = True
+    while True:
+        m = _REF_OPEN_RE.search(s, pos)
+        if m is None:
+            break
+        stop = -1
+        if m.group(2) == ">":
+            if m.group(1).rstrip().endswith("/"):
+                stop = m.end()
+            elif closers_left:
+                close = _REF_CLOSE_RE.search(s, m.end())
+                if close is None:
+                    closers_left = False
+                else:
+                    stop = close.end()
+        if stop == -1:
+            pos = m.start() + 1
+            continue
+        parts.append(s[i : m.start()])
+        i = pos = stop
+    parts.append(s[i:])
+    return "".join(parts)
+
+
+def _reduce_innermost(s: str, open_ch: str, close_ch: str, width: int, repl) -> str:
+    """Rewrite open*width + w + close*width to repl(w), innermost first, to a fixpoint.
+
+    w holds neither bracket char, and neither may repl(w).  Such spans
+    cannot overlap, so every rewrite order ends in the same text; one
+    left-to-right pass with a stack reaches it, rewriting each span as its
+    last closer arrives.
+    """
+    if open_ch * width not in s:
+        return s  # no span, and none can appear without a rewrite first
+    closers = [close_ch] * (width - 1)
+    openers = [open_ch] * width
+    out: list[str] = []  # the rewritten text so far, without empty pieces
+    marks: list[int] = []  # indices in out of single bracket chars
+    for k, piece in enumerate(re.split(f"([{re.escape(open_ch + close_ch)}])", s)):
+        if not k % 2:
+            if piece:
+                out.append(piece)
+            continue
+        n = len(out)
+        if piece == close_ch and len(marks) >= 2 * width - 1 and out[n - width + 1 :] == closers:
+            q = marks[-width]  # the bracket before the pending closers
+            if q >= width - 1 and out[q - width + 1 : q + 1] == openers:
+                text = repl("".join(out[q + 1 : n - width + 1]))
+                del out[q - width + 1 :]
+                del marks[-(2 * width - 1) :]
+                if text:
+                    out.append(text)
+                continue
+        marks.append(n)
+        out.append(piece)
+    return "".join(out)
 
 
 def _remove_braced(s: str, open_tok: str, close_tok: str, max_depth: int | None) -> str:
@@ -68,8 +157,14 @@ def _remove_braced(s: str, open_tok: str, close_tok: str, max_depth: int | None)
     parts = []
     i = 0
     n = len(s)
+    # next opener and closer at or after the scan position; each is looked
+    # up again only once the scan has passed it
+    nxt_open = s.find(open_tok)
+    nxt_close = s.find(close_tok)
     while True:
-        start = s.find(open_tok, i)
+        if nxt_open != -1 and nxt_open < i:
+            nxt_open = s.find(open_tok, i)
+        start = nxt_open
         if start == -1:
             parts.append(s[i:])
             break
@@ -77,11 +172,13 @@ def _remove_braced(s: str, open_tok: str, close_tok: str, max_depth: int | None)
         depth = 1
         j = start + len(open_tok)
         while depth:
-            nxt_open = s.find(open_tok, j)
-            nxt_close = s.find(close_tok, j)
+            if nxt_close != -1 and nxt_close < j:
+                nxt_close = s.find(close_tok, j)
             if nxt_close == -1:
                 j = n
                 break
+            if nxt_open != -1 and nxt_open < j:
+                nxt_open = s.find(open_tok, j)
             if nxt_open != -1 and nxt_open < nxt_close:
                 depth += 1
                 if max_depth is not None and depth > max_depth:
@@ -98,8 +195,7 @@ def _remove_braced(s: str, open_tok: str, close_tok: str, max_depth: int | None)
     return "".join(parts)
 
 
-def _link_repl(m: re.Match) -> str:
-    inner = m.group(1)
+def _link_text(inner: str) -> str:
     target = inner.split("|", 1)[0].strip()
     if ":" in target:
         prefix = target.split(":", 1)[0].strip()
@@ -113,17 +209,57 @@ def _link_repl(m: re.Match) -> str:
 
 def _resolve_internal_links(s: str) -> str:
     # innermost first, so links nested in file captions resolve before the
-    # enclosing file link is judged
+    # enclosing file link is judged.  One regex pass resolves the innermost
+    # links at C speed; the stack pass finishes any nesting in linear time.
+    s = _LINK_RE.sub(lambda m: _link_text(m.group(1)), s)
+    return _reduce_innermost(s, "[", "]", 2, _link_text)
+
+
+def _remove_params(s: str) -> str:
+    # {{{param}}} placeholders, innermost first
+    return _reduce_innermost(s, "{", "}", 3, lambda inner: "")
+
+
+def _resolve_external_links(s: str) -> str:
+    """Replace [scheme://url label] with its label, [scheme://url] with nothing.
+
+    The URL runs to the first whitespace or "]"; a label needs a space or
+    tab there and runs to the next "]".  Openers inside one URL share its
+    end, and once no "]" follows, no later link can close.
+    """
+    parts = []
+    i = pos = 0
+    url_end = -1
+    n = len(s)
     while True:
-        new = _LINK_RE.sub(_link_repl, s)
-        if new == s:
-            return s
-        s = new
+        m = _EXT_OPEN_RE.search(s, pos)
+        if m is None:
+            break
+        if m.end() > url_end:
+            url_end = _URL_RE.match(s, m.end()).end()
+        if url_end == n:
+            break  # nothing after the URL, here or for any opener inside it
+        c = s[url_end]
+        if c == "]":
+            stop, label = url_end + 1, ""
+        elif c in " \t":
+            close = s.find("]", url_end)
+            if close == -1:
+                break
+            stop, label = close + 1, s[url_end:close].strip()
+        else:
+            pos = m.start() + 1
+            continue
+        parts.append(s[i : m.start()])
+        parts.append(label)
+        i = pos = stop
+    parts.append(s[i:])
+    return "".join(parts)
 
 
-def _ext_link_repl(m: re.Match) -> str:
-    label = m.group(1)
-    return label.strip() if label else ""
+def _heading_repl(m: re.Match) -> str:
+    # "== Title ==" keeps "Title"; a line of "=" alone keeps nothing
+    return m.group(0).strip(" \t").strip("=").strip(" \t")
 
 
 def _decode_entities(s: str) -> str:
@@ -155,9 +291,9 @@ def count_unknown_entities(s: str, warnings: Counter | None = None) -> int:
 
 
 def _normalize_whitespace(s: str) -> str:
-    s = re.sub(r"[ \t]+$", "", s, flags=re.MULTILINE)
-    s = re.sub(r"^[ \t]+", "", s, flags=re.MULTILINE)
+    # runs first, so each line has at most one space to trim at either end
     s = re.sub(r"[ \t]+", " ", s)
+    s = "\n".join([line.strip(" ") for line in s.split("\n")])
     s = re.sub(r"\n{3,}", "\n\n", s)
     return s.strip()
 
@@ -165,16 +301,15 @@ def _normalize_whitespace(s: str) -> str:
 def _strip_pass(s: str, max_depth: int) -> str:
     s = s.replace("\r\n", "\n").replace("\r", "\n")
     s = _remove_comments(s)
-    s = _REF_RE.sub("", s)
-    while _PARAM_RE.search(s):
-        s = _PARAM_RE.sub("", s)
+    s = _remove_refs(s)
+    s = _remove_params(s)
     s = _remove_braced(s, "{{", "}}", max_depth)
     s = _remove_braced(s, "{|", "|}", None)
-    s = _HEADING_RE.sub(r"\1", s)
+    s = _HEADING_RE.sub(_heading_repl, s)
     s = _LIST_RE.sub("", s)
     s = _HR_RE.sub("", s)
     s = _resolve_internal_links(s)
-    s = _EXT_LINK_RE.sub(_ext_link_repl, s)
+    s = _resolve_external_links(s)
     s = _TAG_RE.sub("", s)
     s = _MAGIC_RE.sub("", s)
     s = _QUOTES_RE.sub("", s)
@@ -189,14 +324,19 @@ def strip_markup(raw: str, max_depth: int = 16, warnings: Counter | None = None)
 
     Passes repeat until nothing changes, so markup revealed by an earlier
     removal (or by entity decoding) is cleaned up too.  Unknown entity names
-    survive literally and are counted once against the final text.
+    survive literally and are counted once against the final text.  Text
+    still changing after _MAX_PASSES passes is returned as it stands and
+    counted as a ``markup_fixpoint_cap`` warning.
     """
     s = raw
-    for _ in range(100):
+    for _ in range(_MAX_PASSES):
         new = _strip_pass(s, max_depth)
         if new == s:
             break
         s = new
+    else:
+        if warnings is not None:
+            warnings["markup_fixpoint_cap"] += 1
     if warnings is not None:
         count_unknown_entities(s, warnings)
     return s
@@ -214,41 +354,65 @@ def _iter_page_chunks(stream: IO[bytes]) -> Iterator[tuple[bytes, int]]:
 
     Memory stays bounded by one page; anything between pages (headers,
     siteinfo, a second dump's preamble) is skipped, so concatenated dumps
-    chunk exactly like the dumps chunked separately.
+    chunk exactly like the dumps chunked separately.  A page spanning many
+    blocks keeps them in a list, each new block is searched once (with the
+    seam it makes with the last one), and the page is joined once.
     """
-    buf = b""
-    base = 0
-    eof = False
+    seam = len(_CLOSE_TAG) - 1  # bytes of a tag that can precede a block
+    buf = b""  # bytes not yet searched for <page>
+    base = 0  # absolute offset of buf[0]
+    page: list[bytes] = []  # blocks of the open page, from its <page> on
+    page_at = 0
+    tail = b""  # last bytes of the open page, searched already
     while True:
-        if not eof:
-            block = stream.read(1 << 16)
-            if block:
-                buf += block
+        block = stream.read(1 << 16)
+        if page:
+            if not block:
+                raise ParseError("unterminated <page> element", location=f"byte {page_at}")
+            found = (tail + block[:seam]).find(_CLOSE_TAG)
+            if found != -1:
+                stop = found - len(tail) + len(_CLOSE_TAG)
             else:
-                eof = True
+                found = block.find(_CLOSE_TAG)
+                if found == -1:
+                    page.append(block)
+                    tail = (tail + block[-seam:])[-seam:]
+                    base += len(block)
+                    continue
+                stop = found + len(_CLOSE_TAG)
+            page.append(block[:stop])
+            chunk = b"".join(page)
+            page = []
+            yield chunk, page_at
+            buf = block[stop:]
+            base += stop
+        else:
+            buf += block
+        pos = 0
         while True:
-            start = buf.find(_OPEN_TAG)
+            start = buf.find(_OPEN_TAG, pos)
             if start == -1:
                 # keep a tail in case "<page>" straddles the block boundary
-                keep = len(_OPEN_TAG) - 1 if not eof else 0
-                cut = max(len(buf) - keep, 0)
+                keep = len(_OPEN_TAG) - 1 if block else 0
+                cut = max(len(buf) - keep, pos)
                 base += cut
                 buf = buf[cut:]
                 break
             end = buf.find(_CLOSE_TAG, start)
             if end == -1:
-                if eof:
+                if not block:
                     raise ParseError(
                         "unterminated <page> element", location=f"byte {base + start}"
                     )
-                base += start
-                buf = buf[start:]
+                page = [buf[start:]]
+                page_at = base + start
+                tail = page[0][-seam:]
+                base += len(buf)
+                buf = b""
                 break
-            stop = end + len(_CLOSE_TAG)
-            yield buf[start:stop], base + start
-            base += stop
-            buf = buf[stop:]
-        if eof:
+            pos = end + len(_CLOSE_TAG)
+            yield buf[start:pos], base + start
+        if not block:
             return
 
 

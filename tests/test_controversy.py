@@ -2,6 +2,7 @@ import random
 from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corplex.controversy import controversy_m, detect_reverts, score_pages
 
@@ -173,3 +174,39 @@ class TestOracle:
             h = history(*[(prng.choice(editors), prng.choice(texts)) for _ in range(n)])
             for policy in ("latest", "earliest"):
                 assert controversy_m(h, policy).M == brute_force_m(h, policy)
+
+
+def old_detect_reverts(h, match_policy):
+    """The match rule as first written: rescan every earlier position per hash."""
+    events = []
+    seen = {}
+    for pos, rev in enumerate(h):
+        matches = [i for i in seen.get(rev.raw_text, []) if i < pos - 1]
+        if matches:
+            i = max(matches) if match_policy == "latest" else min(matches)
+            reverted = h[pos - 1].editor
+            events.append((h[i].rev_index, rev.rev_index, rev.editor, reverted, rev.editor == reverted))
+        seen.setdefault(rev.raw_text, []).append(pos)
+    return events
+
+
+class TestDetectRevertsMatchesOracle:
+    @given(
+        st.lists(st.tuples(st.sampled_from("ABCD"), st.sampled_from(["x", "y", "z", "w"])), max_size=60),
+        st.sampled_from(["latest", "earliest"]),
+    )
+    @settings(max_examples=400)
+    def test_random_histories(self, specs, policy):
+        h = history(*specs)
+        assert [tuple(e) for e in detect_reverts(h, policy)] == old_detect_reverts(h, policy)
+
+    @pytest.mark.parametrize("policy", ["latest", "earliest"])
+    def test_ping_pong(self, policy):
+        h = history(*[("AB"[k % 2], "xy"[k % 2]) for k in range(200)])
+        assert [tuple(e) for e in detect_reverts(h, policy)] == old_detect_reverts(h, policy)
+
+    @pytest.mark.parametrize("policy", ["latest", "earliest"])
+    def test_null_edit_runs(self, policy):
+        # repeats of the previous text are null edits, never their own match
+        h = history(("A", "x"), ("B", "x"), ("C", "x"), ("D", "y"), ("A", "x"), ("B", "x"))
+        assert [tuple(e) for e in detect_reverts(h, policy)] == old_detect_reverts(h, policy)

@@ -1,0 +1,405 @@
+"""The linear-time scanners in corplex.ingest against the regexes they replaced.
+
+Each oracle below is the earlier implementation, copied verbatim: the
+backtracking regexes for comments, refs, headings, internal and external
+links and trailing whitespace, the repeat-until-unchanged loops for template
+parameters and links, the re-scanning brace remover and the page chunker that
+re-copied its buffer per block.  The new code must give identical output,
+including which MarkupError or ParseError is raised and where.  The oracles
+are superlinear, so inputs stay at a few KB.
+"""
+
+import io
+import re
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from corplex import ingest
+from corplex.errors import MarkupError, ParseError
+
+# ---------------------------------------------------------------------------
+# oracle: strip_markup as it was
+
+_COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
+_REF_RE = re.compile(r"<ref\b[^<>]*?/\s*>|<ref\b[^<>]*?>.*?</ref\s*>", re.DOTALL | re.IGNORECASE)
+_PARAM_RE = re.compile(r"\{\{\{[^{}]*\}\}\}")
+_HEADING_RE = re.compile(r"^[ \t]*=+[ \t]*(.*?)[ \t]*=+[ \t]*$", re.MULTILINE)
+_LINK_RE = re.compile(r"\[\[([^\[\]]*)\]\]")
+_EXT_LINK_RE = re.compile(r"\[(?:https?|ftp)://[^\s\]]*(?:[ \t]+([^\]]*))?\]", re.IGNORECASE)
+
+
+def old_remove_comments(s):
+    s = _COMMENT_RE.sub("", s)
+    start = s.find("<!--")
+    return s[:start] if start != -1 else s
+
+
+def old_remove_refs(s):
+    return _REF_RE.sub("", s)
+
+
+def old_remove_params(s):
+    while _PARAM_RE.search(s):
+        s = _PARAM_RE.sub("", s)
+    return s
+
+
+def old_remove_braced(s, open_tok, close_tok, max_depth):
+    parts = []
+    i = 0
+    n = len(s)
+    while True:
+        start = s.find(open_tok, i)
+        if start == -1:
+            parts.append(s[i:])
+            break
+        parts.append(s[i:start])
+        depth = 1
+        j = start + len(open_tok)
+        while depth:
+            nxt_open = s.find(open_tok, j)
+            nxt_close = s.find(close_tok, j)
+            if nxt_close == -1:
+                j = n
+                break
+            if nxt_open != -1 and nxt_open < nxt_close:
+                depth += 1
+                if max_depth is not None and depth > max_depth:
+                    raise MarkupError(
+                        f"{open_tok!r} nesting deeper than {max_depth}", offset=nxt_open
+                    )
+                j = nxt_open + len(open_tok)
+            else:
+                depth -= 1
+                j = nxt_close + len(close_tok)
+        if j >= n and depth:
+            break
+        i = j
+    return "".join(parts)
+
+
+def old_headings(s):
+    return _HEADING_RE.sub(r"\1", s)
+
+
+def _link_repl(m):
+    return ingest._link_text(m.group(1))
+
+
+def old_resolve_internal_links(s):
+    while True:
+        new = _LINK_RE.sub(_link_repl, s)
+        if new == s:
+            return s
+        s = new
+
+
+def _ext_link_repl(m):
+    label = m.group(1)
+    return label.strip() if label else ""
+
+
+def old_resolve_external_links(s):
+    return _EXT_LINK_RE.sub(_ext_link_repl, s)
+
+
+def old_normalize_whitespace(s):
+    s = re.sub(r"[ \t]+$", "", s, flags=re.MULTILINE)
+    s = re.sub(r"^[ \t]+", "", s, flags=re.MULTILINE)
+    s = re.sub(r"[ \t]+", " ", s)
+    s = re.sub(r"\n{3,}", "\n\n", s)
+    return s.strip()
+
+
+def old_strip_pass(s, max_depth):
+    s = s.replace("\r\n", "\n").replace("\r", "\n")
+    s = old_remove_comments(s)
+    s = old_remove_refs(s)
+    s = old_remove_params(s)
+    s = old_remove_braced(s, "{{", "}}", max_depth)
+    s = old_remove_braced(s, "{|", "|}", None)
+    s = old_headings(s)
+    s = ingest._LIST_RE.sub("", s)
+    s = ingest._HR_RE.sub("", s)
+    s = old_resolve_internal_links(s)
+    s = old_resolve_external_links(s)
+    s = ingest._TAG_RE.sub("", s)
+    s = ingest._MAGIC_RE.sub("", s)
+    s = ingest._QUOTES_RE.sub("", s)
+    for stray in ("[[", "]]", "{{", "}}", "{|", "|}"):
+        s = s.replace(stray, "")
+    s = ingest._decode_entities(s)
+    return old_normalize_whitespace(s)
+
+
+def old_strip_markup(raw, max_depth=16):
+    s = raw
+    for _ in range(100):
+        new = old_strip_pass(s, max_depth)
+        if new == s:
+            break
+        s = new
+    return s
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and text of what it raised."""
+    try:
+        return ("ok", fn(*args))
+    except (MarkupError, ParseError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# ---------------------------------------------------------------------------
+# generators: token soups that hit every opener, closer and near miss
+
+COMMENT_TOKENS = ["<!--", "-->", "<!-", "->", "--", "<", "!", "-", ">", "x", " ", "\n"]
+REF_TOKENS = [
+    "<ref", "<REF", "<Ref", "<ref name=a>", "<ref name=\"b\" />", "<refs>", "</ref>",
+    "</REF >", "</ref\n>", "</ref", "/>", "/ >", "/", ">", "<", " ", "\t", "\n", "x",
+    "\xa0", "=", "_", "\x1c",
+]
+BRACE_TOKENS = ["{{", "}}", "{|", "|}", "{{{", "}}}", "{", "}", "|", "x", " ", "\n"]
+HEADING_TOKENS = ["=", "==", "===", " ", "\t", "x", "a b", "\n", "\f", "\xa0"]
+LINK_TOKENS = [
+    "[[", "]]", "[", "]", "|", ":", "a", "b c", "Category:", "File:", "fr:", "De:", " ", "\n",
+]
+EXT_TOKENS = [
+    "[http://", "[https://", "[HTTP://", "[ftp://", "[ftps://", "[http:/", "http://", "[",
+    "]", " ", "\t", "\n", "\u2003", "\v", "a", "b.c/d", "|", "[[", "[\u017fftp://",
+    "[http\u017f://",
+]
+WS_TOKENS = [" ", "\t", "  ", "\n", "\n\n\n", "a", "b c", "\xa0", "\f", "\v"]
+MARKUP_TOKENS = sorted(
+    set(COMMENT_TOKENS + REF_TOKENS + BRACE_TOKENS + HEADING_TOKENS + LINK_TOKENS + EXT_TOKENS)
+    | {"'''", "''", "----", "* ", "# ", "__NOTOC__", "&amp;", "&amp;amp;", "&#65;", "&zorp;",
+       "<b>", "</b>", "<br/>", "\r\n", "\r", "word", "two words. "}
+)
+
+
+def soup(tokens, max_size):
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map("".join)
+
+
+def markup_lines():
+    # several short lines: the heading oracle is cubic in the length of a line
+    return st.lists(soup(MARKUP_TOKENS, 24), max_size=40).map("\n".join)
+
+
+class TestScannersMatchOracle:
+    @given(soup(COMMENT_TOKENS, 200))
+    @settings(max_examples=400, deadline=None)
+    def test_comments(self, s):
+        assert ingest._remove_comments(s) == old_remove_comments(s)
+
+    @given(soup(REF_TOKENS, 200))
+    @settings(max_examples=400, deadline=None)
+    def test_refs(self, s):
+        assert ingest._remove_refs(s) == old_remove_refs(s)
+
+    @given(soup(BRACE_TOKENS, 200))
+    @settings(max_examples=400, deadline=None)
+    def test_params(self, s):
+        assert ingest._remove_params(s) == old_remove_params(s)
+
+    @given(soup(BRACE_TOKENS, 200), st.sampled_from([("{{", "}}", 3), ("{{", "}}", 16),
+                                                     ("{|", "|}", None)]))
+    @settings(max_examples=400, deadline=None)
+    def test_braced(self, s, toks):
+        assert outcome(ingest._remove_braced, s, *toks) == outcome(old_remove_braced, s, *toks)
+
+    @given(st.lists(soup(HEADING_TOKENS, 30), max_size=20).map("\n".join))
+    @settings(max_examples=400, deadline=None)
+    def test_headings(self, s):
+        assert ingest._HEADING_RE.sub(ingest._heading_repl, s) == old_headings(s)
+
+    @given(soup(LINK_TOKENS, 200))
+    @settings(max_examples=400, deadline=None)
+    def test_internal_links(self, s):
+        assert ingest._resolve_internal_links(s) == old_resolve_internal_links(s)
+
+    @given(soup(EXT_TOKENS, 200))
+    @settings(max_examples=400, deadline=None)
+    def test_external_links(self, s):
+        assert ingest._resolve_external_links(s) == old_resolve_external_links(s)
+
+    @given(soup(WS_TOKENS, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_whitespace(self, s):
+        assert ingest._normalize_whitespace(s) == old_normalize_whitespace(s)
+
+    def test_spliced_comment_opener_truncates(self):
+        # removing the inner comment joins "<!" and "--" into a new opener
+        s = "a<!<!--x-->--b"
+        assert ingest._remove_comments(s) == old_remove_comments(s) == "a"
+
+    def test_nested_links_resolve_innermost_first(self):
+        for s in ("[[a|[[b|[[c]]]]]]", "[[b][[Category:x]]]", "[[[a]]", "[[a]]]",
+                  "[[x|[[File:y]]]]"):
+            assert ingest._resolve_internal_links(s) == old_resolve_internal_links(s)
+
+
+class TestStripMarkupMatchesOracle:
+    @given(markup_lines())
+    @settings(max_examples=500, deadline=None)
+    def test_markup_mixtures(self, raw):
+        assert outcome(ingest.strip_markup, raw) == outcome(old_strip_markup, raw)
+
+    @given(markup_lines(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_shallow_depth_limit(self, raw, depth):
+        assert outcome(ingest.strip_markup, raw, depth) == outcome(old_strip_markup, raw, depth)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "keep <!--x " * 50,
+            "keep <ref name=a>x " * 50 + "<ref name=b/> tail",
+            "keep [http://a b " * 50,
+            "keep [http://a" * 50 + " x]",
+            "keep {| a " * 50 + "|}",
+            "{{{" * 30 + "}}}" * 30 + " kept",
+            "[[" * 40 + "a" + "]]" * 40,
+            "=" * 60 + "x\n== Title ==\n" + "= " * 30 + "=",
+            " " * 300 + "x \n" + "\t" * 300 + "\n",
+        ],
+    )
+    def test_adversarial_shapes(self, raw):
+        assert outcome(ingest.strip_markup, raw) == outcome(old_strip_markup, raw)
+
+
+class TestFixpointCap:
+    def test_cap_is_counted(self):
+        # each pass decodes one level of "&amp;", so 150 levels outlast the cap
+        raw = "x &amp;" + "amp;" * 150
+        warnings = Counter()
+        out = ingest.strip_markup(raw, warnings=warnings)
+        assert warnings["markup_fixpoint_cap"] == 1
+        assert out == old_strip_markup(raw)
+        assert out == "x &amp;" + "amp;" * 50
+
+    def test_converging_text_is_not_counted(self):
+        warnings = Counter()
+        ingest.strip_markup("x &amp;" + "amp;" * 50, warnings=warnings)
+        assert "markup_fixpoint_cap" not in warnings
+
+
+# ---------------------------------------------------------------------------
+# oracle: the page chunker as it was
+
+def old_iter_page_chunks(stream):
+    buf = b""
+    base = 0
+    eof = False
+    while True:
+        if not eof:
+            block = stream.read(1 << 16)
+            if block:
+                buf += block
+            else:
+                eof = True
+        while True:
+            start = buf.find(b"<page>")
+            if start == -1:
+                keep = len(b"<page>") - 1 if not eof else 0
+                cut = max(len(buf) - keep, 0)
+                base += cut
+                buf = buf[cut:]
+                break
+            end = buf.find(b"</page>", start)
+            if end == -1:
+                if eof:
+                    raise ParseError(
+                        "unterminated <page> element", location=f"byte {base + start}"
+                    )
+                base += start
+                buf = buf[start:]
+                break
+            stop = end + len(b"</page>")
+            yield buf[start:stop], base + start
+            base += stop
+            buf = buf[stop:]
+        if eof:
+            return
+
+
+class ShortReads(io.RawIOBase):
+    """A stream whose reads return at most the next size of a cycle, as pipes may."""
+
+    def __init__(self, data, sizes):
+        self._data = data
+        self._pos = 0
+        self._sizes = sizes
+        self._turn = 0
+
+    def read(self, n=-1):
+        size = self._sizes[self._turn % len(self._sizes)]
+        self._turn += 1
+        if n is not None and n >= 0:
+            size = min(size, n)
+        chunk = self._data[self._pos : self._pos + size]
+        self._pos += len(chunk)
+        return chunk
+
+
+def chunks(chunker, stream):
+    got = []
+    try:
+        for chunk, offset in chunker(stream):
+            got.append((chunk, offset))
+    except ParseError as exc:
+        got.append(("ParseError", str(exc)))
+    return got
+
+
+def same_chunks(data):
+    new = chunks(ingest._iter_page_chunks, io.BytesIO(data))
+    return new == chunks(old_iter_page_chunks, io.BytesIO(data)) and len(new) > 1
+
+
+DUMP_TOKENS = [b"<page>", b"</page>", b"<page", b"</page", b"page>", b"<", b"/", b">",
+               b"<mediawiki>", b"</mediawiki>", b"x", b"text ", b"\n"]
+
+
+class TestChunkerMatchesOracle:
+    @given(
+        st.lists(st.sampled_from(DUMP_TOKENS), max_size=120).map(b"".join),
+        st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=8),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_short_reads(self, data, sizes):
+        expected = chunks(old_iter_page_chunks, io.BytesIO(data))
+        assert chunks(ingest._iter_page_chunks, ShortReads(data, sizes)) == expected
+        assert chunks(ingest._iter_page_chunks, io.BytesIO(data)) == expected
+
+    @pytest.mark.parametrize("d", range(-8, 2))
+    def test_open_tag_straddles_the_block_seam(self, d):
+        # the second page's "<page>" starts d bytes from the first 64 KB seam
+        lead = b"<mediawiki><page>a</page>"
+        data = lead + b"x" * ((1 << 16) + d - len(lead)) + b"<page>" + b"y" * 100 + b"</page>"
+        assert same_chunks(data)
+
+    @pytest.mark.parametrize("seam", [1 << 16, 2 << 16])
+    @pytest.mark.parametrize("d", range(-8, 2))
+    def test_close_tag_straddles_a_block_seam(self, seam, d):
+        # one page whose "</page>" starts d bytes from a 64 KB seam
+        data = b"<page>" + b"y" * (seam + d - 6) + b"</page>" + b"<page>z</page>"
+        assert same_chunks(data)
+
+    def test_concatenated_dumps_chunk_like_each_dump(self):
+        one = b"<mediawiki><siteinfo/><page>" + b"a" * 70000 + b"</page><page>b</page></mediawiki>"
+        two = b"<mediawiki>" + b"h" * 65530 + b"<page>c</page></mediawiki>"
+        assert same_chunks(one + two)
+        both = chunks(ingest._iter_page_chunks, io.BytesIO(one + two))
+        first = chunks(ingest._iter_page_chunks, io.BytesIO(one))
+        second = chunks(ingest._iter_page_chunks, io.BytesIO(two))
+        assert both == first + [(c, off + len(one)) for c, off in second]
+
+    @pytest.mark.parametrize("size", [10, (1 << 16) - 3, 3 * (1 << 16) + 5])
+    def test_unterminated_last_page(self, size):
+        data = b"<mediawiki><page>ok</page>" + b"<page>" + b"y" * size
+        got = chunks(ingest._iter_page_chunks, io.BytesIO(data))
+        assert got == chunks(old_iter_page_chunks, io.BytesIO(data))
+        assert got[-1] == ("ParseError", "unterminated <page> element [byte 26]")
