@@ -7,7 +7,6 @@ to stdout (or --output), diagnostics and warning tallies to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import urllib.request
 from collections import Counter
@@ -61,12 +60,7 @@ def _load_tagged(path: str, warnings: Counter):
 
 def _doc_sentence_groups(docs, cond, patterns) -> list:
     """Condition-processed sentences, one group per document."""
-    groups = []
-    for doc in docs:
-        lines = [l for l in doc.body.splitlines() if l.strip()]
-        sample = sampling.Sample.from_lines(lines, seed=0)
-        groups.append(sampling.apply_condition(sample, cond, patterns))
-    return groups
+    return [sampling.apply_condition(sampling.doc_lines(doc), cond, patterns) for doc in docs]
 
 
 def _cmd_extract(args) -> int:
@@ -90,11 +84,11 @@ def _cmd_sample(args) -> int:
     warnings: Counter = Counter()
     docs = _load_docs(args.input, warnings)
     unit = sampling.CHARACTER if args.unit.startswith("char") else sampling.WORD_UNIT
+    groups = [sampling.doc_lines(doc) for doc in docs]
     if args.granularity == "article":
-        groups = [[l for l in doc.body.splitlines() if l.strip()] for doc in docs]
         sample = sampling.build_balanced_sample_grouped(groups, args.target, unit, args.seed)
     else:
-        pool = [l for doc in docs for l in doc.body.splitlines() if l.strip()]
+        pool = [l for g in groups for l in g]
         sample = sampling.build_balanced_sample(pool, args.target, unit, args.seed)
     _write_lines(args.output + ".txt", sample.lines)
     manifest = sampling.sample_manifest(sample, unit, args.target, source=args.input)
@@ -146,9 +140,7 @@ def _cmd_ngram(args) -> int:
         cond = sampling.ConditionSpec.parse(args.condition)
         patterns = _load_patterns(args.exclude_patterns)
         groups = _doc_sentence_groups(docs, cond, patterns)
-        sections = [
-            [tuple(t.surface.lower() for t in s.tokens) for s in group] for group in groups
-        ]
+        sections = [lexstats.fold_sentences(g) for g in groups]
     else:
         tagged = _load_tagged(args.input, warnings)
         tagged = posstats.apply_pos_condition(tagged, args.pos_condition)
@@ -323,9 +315,7 @@ def _cmd_plotdata(args) -> int:
             checkpoints = lexstats.heaps_checkpoints(stream, args.checkpoints)
             report.emit_plot_data(checkpoints, "heaps", args.output)
         else:  # ngram_zipf
-            sections = [
-                [tuple(t.surface.lower() for t in s.tokens) for s in g] for g in groups
-            ]
+            sections = [lexstats.fold_sentences(g) for g in groups]
             table = lexstats.count_corpus_ngrams(sections, args.n, args.boundary)
             report.emit_plot_data(table, "ngram_zipf", args.output)
     _print_warnings(warnings)

@@ -1,15 +1,15 @@
 """Vocabulary growth, Zipf ranking, entropies, and n-gram tables.
 
-Sentence-boundary handling: a call to ngram_counts treats its sentence list
-as one contiguous section.  A single boundary marker separates consecutive
-sentences, plus one marker at the section start and end.  Markers never span
-sections, so counting a corpus section-by-section and merging the tables is
-exactly the single-pass result.
+Sentence-boundary handling: count_corpus_ngrams counts a list of sections
+(documents); ngram_counts is its one-section case.  A single boundary marker
+separates consecutive sentences, plus one marker at the section start and
+end.  Markers never span sections, so counting a corpus section-by-section
+and merging the tables is exactly the single-pass result.
 
 Type-level statistics (type_token_counts, zipf_table, unigram_entropy,
-heaps_*) fold surfaces to lowercase.  ngram_counts does not fold: its symbols
-may be POS tags, where case is meaningful.  Callers fold word streams first
-when they want folded n-grams.
+heaps_*) fold surfaces to lowercase.  n-gram counting does not fold: its
+symbols may be POS tags, where case is meaningful.  Callers fold word
+streams first with fold_sentences when they want folded n-grams.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ def _surfaces(sentence) -> tuple[str, ...]:
     if isinstance(sentence, Sentence):
         return sentence.surfaces()
     return tuple(sentence)
+
+
+def fold_sentences(sentences: Iterable[Sentence]) -> list[tuple[str, ...]]:
+    """Each sentence as a tuple of lowercased surfaces, ready for n-gram counting."""
+    return [tuple(t.surface.lower() for t in s.tokens) for s in sentences]
 
 
 def _fold_stream(tokens: Iterable) -> Iterable[str]:
@@ -274,17 +279,7 @@ def ngram_counts(sentences, n: int, boundary_policy: str = "postprocessed") -> C
     applies the center/shorter-side rule; for n=1 that drops the markers
     themselves.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    policy = _POLICIES.get(boundary_policy)
-    if policy is None:
-        raise ValueError(f"unknown boundary policy {boundary_policy!r}")
-    counts: Counter = Counter()
-    _count_section(counts, sentences, n, policy == "postprocessed")
-    table = CountTable(n, dict(counts))
-    if policy == "postprocessed":
-        _check_center(table)
-    return table
+    return count_corpus_ngrams([sentences], n, boundary_policy)
 
 
 _worker_job = None  # (shards, n, postprocess), set only inside pool workers
@@ -317,15 +312,14 @@ def count_corpus_ngrams(
     if policy is None:
         raise ValueError(f"unknown boundary policy {boundary_policy!r}")
     postprocess = policy == "postprocessed"
-    section_list = [[_surfaces(s) for s in sentences] for sentences in sections]
-    if processes <= 1 or len(section_list) < 2:
-        counts: Counter = Counter()
-        for sentences in section_list:
+    sections = list(sections)
+    counts: Counter = Counter()
+    if processes <= 1 or len(sections) < 2:
+        for sentences in sections:
             _count_section(counts, sentences, n, postprocess)
-        table = CountTable(n, dict(counts))
     else:
-        shards: list[list] = [[] for _ in range(min(processes, len(section_list)))]
-        for i, sentences in enumerate(section_list):
+        shards: list[list] = [[] for _ in range(min(processes, len(sections)))]
+        for i, sentences in enumerate(sections):
             shards[i % len(shards)].append(sentences)
         # fork workers inherit the shards from the initializer arguments, so
         # no token is pickled on the way in; tasks carry only shard indices
@@ -333,10 +327,9 @@ def count_corpus_ngrams(
         with ctx.Pool(len(shards), initializer=_init_worker,
                       initargs=(shards, n, postprocess)) as pool:
             results = pool.map(_count_shard, range(len(shards)))
-        merged: Counter = Counter()
         for part in results:
-            merged.update(part)
-        table = CountTable(n, dict(merged))
+            counts.update(part)
+    table = CountTable(n, counts)
     if postprocess:
         _check_center(table)
     return table

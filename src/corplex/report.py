@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from . import lexstats, posstats, readability, sampling
 from .errors import CorplexError
 from .lexstats import BOUNDARY  # noqa: F401  (re-exported for report consumers)
-from .textpipe import Sentence, Token
+from .textpipe import Sentence
 
 
 def _round6(value):
@@ -30,19 +30,6 @@ def _round6(value):
 def render_json(payload) -> str:
     """Canonical JSON: sorted keys, 6-significant-digit floats, newline end."""
     return json.dumps(_round6(payload), sort_keys=True, ensure_ascii=False) + "\n"
-
-
-def _doc_lines(doc) -> list[str]:
-    body = doc if isinstance(doc, str) else doc.body
-    return [line for line in body.splitlines() if line.strip()]
-
-
-def _fold_sentences(sentences: Iterable[Sentence]) -> list[tuple[str, ...]]:
-    return [tuple(t.surface.lower() for t in s.tokens) for s in sentences]
-
-
-def _token_stream(sentences: Iterable[Sentence]) -> list[str]:
-    return [t.surface for s in sentences for t in s.tokens]
 
 
 def _group_block(stats: readability.GroupStats) -> dict:
@@ -63,14 +50,9 @@ def _fog_block(report: readability.FogReport) -> dict:
     }
 
 
-def _corpus_block(sentences: list[Sentence], ngram_max_n: int, boundary_policy: str) -> dict:
-    stream = _token_stream(sentences)
+def _corpus_block(sentences: list[Sentence]) -> dict:
+    stream = [t.surface for s in sentences for t in s.tokens]
     V, N = lexstats.type_token_counts(stream)
-    folded = _fold_sentences(sentences)
-    ngram_entropy = {}
-    for n in range(1, ngram_max_n + 1):
-        table = lexstats.ngram_counts(folded, n, boundary_policy)
-        ngram_entropy[str(n)] = lexstats.table_entropy(table) if table.total else 0.0
     stats = lexstats.corpus_stats(sentences)
     try:
         fog = _fog_block(readability.gunning_fog(sentences))
@@ -81,7 +63,6 @@ def _corpus_block(sentences: list[Sentence], ngram_max_n: int, boundary_policy: 
         "N": N,
         "C": lexstats.herdan_c(V, N) if V >= 2 and N >= 2 else None,
         "entropy_bits": lexstats.unigram_entropy(stream),
-        "ngram_entropy_bits": ngram_entropy,
         "fog": fog,
         "corpus_stats": {
             "chars_per_word": stats.chars_per_word,
@@ -126,8 +107,8 @@ def compare_corpora(
     codes = list(conditions) if conditions else list(sampling.ConditionSpec.all_codes())
     warnings = warnings if warnings is not None else Counter()
 
-    groups_a = [_doc_lines(d) for d in docs_a]
-    groups_b = [_doc_lines(d) for d in docs_b]
+    groups_a = [sampling.doc_lines(d) for d in docs_a]
+    groups_b = [sampling.doc_lines(d) for d in docs_b]
     sample_a = sampling.Sample.from_lines([l for g in groups_a for l in g], seed)
 
     fog_stats_a, _ = readability.corpus_fog(docs_a, warnings=warnings)
@@ -172,23 +153,26 @@ def _condition_block(
     sample_b = sampling.build_balanced_sample_grouped(
         groups_b, target, unit, _condition_seed(seed, code)
     )
-    sentences_a = sampling.apply_condition(sample_a, cond, exclude_patterns)
-    sentences_b = sampling.apply_condition(sample_b, cond, exclude_patterns)
-    block_a = _corpus_block(sentences_a, ngram_max_n, boundary_policy)
-    block_b = _corpus_block(sentences_b, ngram_max_n, boundary_policy)
+    sentences_a = sampling.apply_condition(sample_a.lines, cond, exclude_patterns)
+    sentences_b = sampling.apply_condition(sample_b.lines, cond, exclude_patterns)
+    block_a = _corpus_block(sentences_a)
+    block_b = _corpus_block(sentences_b)
 
-    folded_a = _fold_sentences(sentences_a)
-    folded_b = _fold_sentences(sentences_b)
-    angles = {}
-    entropy_delta = {}
+    # each table serves both its corpus's entropy and the A/B cosine
+    folded_a = lexstats.fold_sentences(sentences_a)
+    folded_b = lexstats.fold_sentences(sentences_b)
+    entropy_a, entropy_b, entropy_delta, angles = {}, {}, {}, {}
     for n in range(1, ngram_max_n + 1):
         table_a = lexstats.ngram_counts(folded_a, n, boundary_policy)
         table_b = lexstats.ngram_counts(folded_b, n, boundary_policy)
+        key = str(n)
+        entropy_a[key] = lexstats.table_entropy(table_a) if table_a.total else 0.0
+        entropy_b[key] = lexstats.table_entropy(table_b) if table_b.total else 0.0
+        entropy_delta[key] = entropy_a[key] - entropy_b[key]
         similarity, angle = posstats.cosine_angle(table_a, table_b)
-        angles[str(n)] = {"similarity": similarity, "angle_degrees": angle}
-        entropy_delta[str(n)] = (
-            block_a["ngram_entropy_bits"][str(n)] - block_b["ngram_entropy_bits"][str(n)]
-        )
+        angles[key] = {"similarity": similarity, "angle_degrees": angle}
+    block_a["ngram_entropy_bits"] = entropy_a
+    block_b["ngram_entropy_bits"] = entropy_b
 
     c_a, c_b = block_a["C"], block_b["C"]
     return {

@@ -221,12 +221,18 @@ def sample_manifest(sample: Sample, unit: str, target: int, source: str) -> dict
     }
 
 
+def doc_lines(doc) -> list[str]:
+    """The non-blank lines of a document (or of a plain string)."""
+    body = doc if isinstance(doc, str) else doc.body
+    return [line for line in body.splitlines() if line.strip()]
+
+
 def apply_condition(
-    sample: Sample,
+    lines: Iterable[str],
     cond: ConditionSpec,
     exclude_patterns: Sequence[str] | None = None,
 ) -> list[Sentence]:
-    """Tokenize sample lines and run the condition's processing chain.
+    """Tokenize lines and run the condition's processing chain.
 
     Lines whose space-joined token text contains any exclude pattern are
     dropped whole (case-sensitive substring match).  Sentences are split
@@ -235,7 +241,7 @@ def apply_condition(
     """
     patterns = list(exclude_patterns or [])
     out: list[Sentence] = []
-    for line in sample.lines:
+    for line in lines:
         tokens = tokenize(line)
         if not tokens:
             continue

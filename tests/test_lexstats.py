@@ -228,6 +228,16 @@ class TestSharding:
         parallel = count_corpus_ngrams(sections, 2, processes=2)
         assert serial.entries == parallel.entries
 
+    def test_sentence_objects_match_tuples(self):
+        texts = ["The cat sat. It ran off!", "Dogs bark. Birds sing loudly.", "One more line.", "End."]
+        sections = [split_sentences(tokenize(t)) for t in texts]
+        plain = [[s.surfaces() for s in section] for section in sections]
+        for processes in (1, 2):
+            for n in (1, 2, 3):
+                got = count_corpus_ngrams(sections, n, processes=processes)
+                assert got == count_corpus_ngrams(plain, n, processes=processes)
+                assert got.total > 0
+
     def test_merge_leaves_operands_alone(self):
         t1 = ngram_counts([("a",)], 1)
         t2 = ngram_counts([("a", "b")], 1)

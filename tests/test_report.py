@@ -155,16 +155,29 @@ class TestCompare:
         cut = report.compare_corpora(DOCS, DOCS, conditions=["WB"], seed=0, exclude_patterns=["fox"])
         assert cut["conditions"]["WB"]["a"]["N"] < base["conditions"]["WB"]["a"]["N"]
 
+    def test_each_table_counted_once(self, monkeypatch):
+        calls = []
+        real = lexstats.ngram_counts
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lexstats, "ngram_counts", counting)
+        report.compare_corpora(DOCS, DOCS + EXTRA, conditions=["WB", "CN"], ngram_max_n=3, seed=0)
+        # one A table and one B table per condition and n
+        assert len(calls) == 2 * 2 * 3
+
 
 class TestCorpusBlockFog:
     def test_wordless_block_has_no_fog(self):
         sentences = split_sentences(tokenize("? ! ?"))
-        block = report._corpus_block(sentences, 1, "postprocessed")
+        block = report._corpus_block(sentences)
         assert block["fog"] is None
 
     def test_fog_matches_direct_computation(self):
         sentences = split_sentences(tokenize("The cat sat. Dogs bark loudly."))
-        block = report._corpus_block(sentences, 1, "postprocessed")
+        block = report._corpus_block(sentences)
         direct = readability.gunning_fog(sentences)
         assert block["fog"]["F"] == direct.F
         assert block["fog"]["words"] == direct.words

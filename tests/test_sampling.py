@@ -152,7 +152,7 @@ class TestRatios:
 
 
 def sample_of(text):
-    return Sample.from_lines(text.split("\n"), seed=0)
+    return text.split("\n")
 
 
 class TestApplyCondition:
