@@ -8,13 +8,33 @@ from __future__ import annotations
 
 import argparse
 import sys
-import urllib.request
 from collections import Counter
 
 from . import __version__, lexstats, posstats, readability, report, sampling
 from .errors import CorplexError
 from .ingest import docs_to_jsonl, parse_article_dump, parse_revision_dump
 from .controversy import controversy_m
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _condition_list(text: str) -> list[str]:
+    """Comma-separated condition codes; empty means all eight."""
+    codes = text.split(",") if text else []
+    for code in codes:
+        if code not in sampling.ConditionSpec.all_codes():
+            raise argparse.ArgumentTypeError(
+                f"unknown condition code {code!r}; expected codes from "
+                f"{','.join(sampling.ConditionSpec.all_codes())}")
+    return codes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,11 +300,10 @@ def _cmd_compare(args) -> int:
         docs_b = [d for d in docs_b if d.title in titles_a]
         if not docs_b:
             raise CorplexError("paired mode found no title matches in corpus B")
-    codes = args.conditions.split(",") if args.conditions else None
     result = report.compare_corpora(
         docs_a,
         docs_b,
-        conditions=codes,
+        conditions=args.conditions,
         ngram_max_n=args.ngram_max_n,
         seed=args.seed,
         exclude_patterns=_load_patterns(args.exclude_patterns),
@@ -322,14 +341,6 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
-def _cmd_fetch(args) -> int:
-    try:
-        urllib.request.urlretrieve(args.url, args.output)
-    except OSError as exc:
-        raise CorplexError(f"fetch failed: {exc}") from exc
-    return 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="corplex", description="Corpus complexity toolkit")
     parser.add_argument("--version", action="version", version=f"corplex {__version__}")
@@ -344,7 +355,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="balanced sample + manifest")
     p.add_argument("input")
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--target", type=_positive_int, required=True)
     p.add_argument("--unit", choices=["character", "char", "word"], default="word")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--granularity", choices=["article", "line"], default="article")
@@ -361,7 +372,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ngram", help="word or tag n-gram table")
     p.add_argument("input")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--kind", choices=["word", "tag"], default="word")
     p.add_argument("--boundary", choices=["raw", "post"], default="post")
     p.add_argument("--condition", choices=sampling.ConditionSpec.all_codes(), default="WB")
@@ -376,7 +387,7 @@ def build_parser() -> _Parser:
     p.add_argument("input_a")
     p.add_argument("input_b")
     p.add_argument("--pos-condition", choices=posstats.POS_CONDITIONS, default="O")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--boundary", choices=["raw", "post"], default="post")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
     p.add_argument("--output", "-o", default="-")
@@ -399,7 +410,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="full balanced comparison report")
     p.add_argument("input_a")
     p.add_argument("input_b")
-    p.add_argument("--conditions", help="comma-separated codes, default all eight")
+    p.add_argument("--conditions", type=_condition_list,
+                   help="comma-separated codes, default all eight")
     p.add_argument("--paired", action="store_true",
                    help="restrict corpus B to titles present in corpus A")
     p.add_argument("--ngram-max-n", type=int, default=3)
@@ -414,17 +426,12 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=["zipf", "heaps", "ngram_zipf", "pos_dist"], required=True)
     p.add_argument("--condition", choices=sampling.ConditionSpec.all_codes(), default="WB")
     p.add_argument("--pos-condition", choices=posstats.POS_CONDITIONS, default="O")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--checkpoints", type=int, default=50)
+    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--checkpoints", type=_positive_int, default=50)
     p.add_argument("--boundary", choices=["raw", "post"], default="post")
     p.add_argument("--exclude-patterns")
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=_cmd_plotdata)
-
-    p = sub.add_parser("fetch", help="download a dump to a local file")
-    p.add_argument("url")
-    p.add_argument("output")
-    p.set_defaults(func=_cmd_fetch)
 
     return parser
 

@@ -4,12 +4,20 @@ Sentence-boundary handling: count_corpus_ngrams counts a list of sections
 (documents); ngram_counts is its one-section case.  A single boundary marker
 separates consecutive sentences, plus one marker at the section start and
 end.  Markers never span sections, so counting a corpus section-by-section
-and merging the tables is exactly the single-pass result.
+and merging the tables is exactly the single-pass result.  Windows are
+counted raw, at C speed; the postprocessed policy then applies the boundary
+rule once per distinct window holding a marker, which is exact because the
+rule depends on the window alone.
 
 Type-level statistics (type_token_counts, zipf_table, unigram_entropy,
 heaps_*) fold surfaces to lowercase.  n-gram counting does not fold: its
 symbols may be POS tags, where case is meaningful.  Callers fold word
 streams first with fold_sentences when they want folded n-grams.
+
+The entropies and corpus_stats share counts-based cores (entropy_bits,
+folded_counts, corpus_stats_from_types) that read a type -> count table, so
+a caller holding such a table, like report's corpus block, pays per type
+rather than per token.
 """
 
 from __future__ import annotations
@@ -18,11 +26,10 @@ import math
 import multiprocessing
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .textpipe import PUNCTUATION, Sentence, SUBSENTENCE_SEPARATORS, WORD
+from .textpipe import PUNCTUATION, Sentence, SUBSENTENCE_SEPARATORS, Token, WORD, type_counts
 
 BOUNDARY = "§"
 
@@ -79,21 +86,27 @@ class HeapsFit(NamedTuple):
     checkpoints: tuple[tuple[int, int], ...]
 
 
-def _surfaces(sentence) -> tuple[str, ...]:
-    if isinstance(sentence, Sentence):
-        return sentence.surfaces()
-    return tuple(sentence)
-
-
 def fold_sentences(sentences: Iterable[Sentence]) -> list[tuple[str, ...]]:
     """Each sentence as a tuple of lowercased surfaces, ready for n-gram counting."""
-    return [tuple(t.surface.lower() for t in s.tokens) for s in sentences]
+    groups = [s.tokens for s in sentences]
+    lower = {tok: tok.surface.lower() for tok in set(chain.from_iterable(groups))}
+    return [tuple(map(lower.__getitem__, tokens)) for tokens in groups]
 
 
 def _fold_stream(tokens: Iterable) -> Iterable[str]:
     for tok in tokens:
         surface = tok if isinstance(tok, str) else tok.surface
         yield surface.lower()
+
+
+def folded_counts(types: Mapping[Token, int]) -> dict[str, int]:
+    """A token-type -> count table merged by lowercased surface."""
+    folded: dict[str, int] = {}
+    get = folded.get
+    for tok, count in types.items():
+        surface = tok.surface.lower()
+        folded[surface] = get(surface, 0) + count
+    return folded
 
 
 def type_token_counts(tokens: Iterable) -> tuple[int, int]:
@@ -119,6 +132,8 @@ def zipf_table(tokens: Iterable) -> list[tuple[int, str, int]]:
 
 
 def _checkpoint_sizes(N: int, checkpoint_policy) -> list[int]:
+    import numpy as np  # only the Heaps functions need numpy; keep it off start-up
+
     if isinstance(checkpoint_policy, int):
         if checkpoint_policy < 1:
             raise ValueError("checkpoint count must be >= 1")
@@ -153,6 +168,8 @@ def heaps_checkpoints(tokens: Sequence, checkpoint_policy=50) -> list[tuple[int,
 
 def heaps_fit(tokens: Sequence, checkpoint_policy=50) -> HeapsFit:
     """OLS line on (ln N, ln V) over vocabulary-growth checkpoints."""
+    import numpy as np
+
     stream = list(tokens)
     if len(stream) < 1000:
         raise ValueError(f"heaps_fit needs >= 1000 tokens, got {len(stream)}")
@@ -171,22 +188,29 @@ def heaps_fit(tokens: Sequence, checkpoint_policy=50) -> HeapsFit:
     return HeapsFit(slope, intercept, stderr, tuple(points))
 
 
+def entropy_bits(counts: Iterable[int], total: int) -> float:
+    """Plug-in entropy in bits of positive counts summing to total."""
+    # fsum is correctly rounded, so the result does not depend on term order,
+    # and each term is computed once per distinct count, then repeated
+    by_count = Counter(counts)
+    return -math.fsum(chain.from_iterable(
+        repeat((c / total) * math.log2(c / total), m) for c, m in by_count.items()))
+
+
 def unigram_entropy(tokens: Iterable) -> float:
     """Plug-in entropy in bits over type frequencies."""
     counts = Counter(_fold_stream(tokens))
     total = sum(counts.values())
     if total < 1:
         raise ValueError("unigram_entropy needs a non-empty stream")
-    # fsum: the result must not depend on count order
-    return -math.fsum((c / total) * math.log2(c / total) for c in counts.values())
+    return entropy_bits(counts.values(), total)
 
 
 def table_entropy(table: CountTable) -> float:
     """Plug-in entropy in bits of a count table."""
     if table.total < 1:
         raise ValueError("table_entropy needs a non-empty table")
-    total = table.total
-    return -math.fsum((c / total) * math.log2(c / total) for c in table.entries.values())
+    return entropy_bits(table.entries.values(), table.total)
 
 
 @lru_cache(maxsize=262144)
@@ -242,25 +266,31 @@ def _postprocess_window(window: tuple[str, ...]):
 def _section_stream(sentences) -> list[str]:
     stream = [BOUNDARY]
     for sentence in sentences:
-        stream.extend(_surfaces(sentence))
+        stream.extend(sentence.surfaces() if isinstance(sentence, Sentence) else sentence)
         stream.append(BOUNDARY)
     return stream
 
 
-def _count_section(counts: Counter, sentences, n: int, postprocess: bool) -> None:
-    stream = _section_stream(sentences)
-    if len(stream) == 1:  # empty section: a lone marker, no windows of interest
-        return
-    boundary = BOUNDARY
-    post = _postprocess_window
-    for i in range(len(stream) - n + 1):
-        window = tuple(stream[i : i + n])
-        if postprocess:
-            if boundary in window:
-                window = post(window)
-                if window is None:
-                    continue
-        counts[window] += 1
+def _count_sections(sections, n: int, postprocess: bool) -> Counter:
+    """Window counts over sections, the boundary rule applied if asked."""
+    counts: Counter = Counter()
+    for sentences in sections:
+        stream = _section_stream(sentences)
+        if len(stream) > 1:  # an empty section is a lone marker, no windows of interest
+            counts.update(zip(*[stream[i:] for i in range(n)]))
+    if postprocess:
+        # a marked key the rule leaves as it is stays put.  Every other one
+        # comes out before any rule output goes back in, since an output can
+        # itself be such a raw key; plain dict pop/get skip Counter's
+        # Python-level __delitem__ and __missing__
+        changed = [(key, window) for key in counts
+                   if BOUNDARY in key and (window := _postprocess_window(key)) != key]
+        moved = [(window, counts.pop(key)) for key, window in changed]
+        get = counts.get
+        for window, count in moved:
+            if window is not None:
+                counts[window] = get(window, 0) + count
+    return counts
 
 
 def _check_center(table: CountTable) -> CountTable:
@@ -292,10 +322,7 @@ def _init_worker(shards, n: int, postprocess: bool) -> None:
 
 def _count_shard(index: int) -> dict[tuple[str, ...], int]:
     shards, n, postprocess = _worker_job
-    counts: Counter = Counter()
-    for sentences in shards[index]:
-        _count_section(counts, sentences, n, postprocess)
-    return dict(counts)
+    return dict(_count_sections(shards[index], n, postprocess))
 
 
 def count_corpus_ngrams(
@@ -313,10 +340,8 @@ def count_corpus_ngrams(
         raise ValueError(f"unknown boundary policy {boundary_policy!r}")
     postprocess = policy == "postprocessed"
     sections = list(sections)
-    counts: Counter = Counter()
     if processes <= 1 or len(sections) < 2:
-        for sentences in sections:
-            _count_section(counts, sentences, n, postprocess)
+        counts = _count_sections(sections, n, postprocess)
     else:
         shards: list[list] = [[] for _ in range(min(processes, len(sections)))]
         for i, sentences in enumerate(sections):
@@ -327,6 +352,7 @@ def count_corpus_ngrams(
         with ctx.Pool(len(shards), initializer=_init_worker,
                       initargs=(shards, n, postprocess)) as pool:
             results = pool.map(_count_shard, range(len(shards)))
+        counts = Counter()
         for part in results:
             counts.update(part)
     table = CountTable(n, counts)
@@ -350,20 +376,23 @@ def corpus_stats(sentences: Sequence[Sentence]) -> CorpusStats:
     a separator-delimited stretch, so each sentence has separators + 1.
     """
     sentences = list(sentences)
-    if not sentences:
+    return corpus_stats_from_types(type_counts(sentences), len(sentences))
+
+
+def corpus_stats_from_types(types: Mapping[Token, int], n_sent: int) -> CorpusStats:
+    """corpus_stats from a token-type -> count table and a sentence count."""
+    if n_sent < 1:
         raise ValueError("corpus_stats needs at least one sentence")
     word_chars = words = tokens = separators = content = 0
-    for sentence in sentences:
-        for tok in sentence.tokens:
-            tokens += 1
-            if tok.kind == WORD:
-                words += 1
-                word_chars += len(tok.surface)
-            if tok.kind == PUNCTUATION:
-                separators += sum(ch in SUBSENTENCE_SEPARATORS for ch in tok.surface)
-            else:
-                content += 1
-    n_sent = len(sentences)
+    for tok, count in types.items():
+        tokens += count
+        if tok.kind == WORD:
+            words += count
+            word_chars += len(tok.surface) * count
+        if tok.kind == PUNCTUATION:
+            separators += sum(ch in SUBSENTENCE_SEPARATORS for ch in tok.surface) * count
+        else:
+            content += count
     subsentences = separators + n_sent
     return CorpusStats(
         chars_per_word=word_chars / words if words else 0.0,

@@ -167,6 +167,10 @@ def _longest_first(rules):
 _STEP2_ORDERED = _longest_first(_STEP2)
 _STEP3_ORDERED = _longest_first(_STEP3)
 _STEP4_ORDERED = _longest_first(_STEP4)
+# one C-level endswith per step passes the words that match no suffix at all
+_STEP2_ANY = tuple(suffix for suffix, _ in _STEP2)
+_STEP3_ANY = tuple(suffix for suffix, _ in _STEP3)
+_STEP4_ANY = tuple(_STEP4)
 
 
 def _map_suffix(w: str, rules, min_measure: int) -> str:
@@ -180,14 +184,20 @@ def _map_suffix(w: str, rules, min_measure: int) -> str:
 
 
 def _step2(w: str) -> str:
+    if not w.endswith(_STEP2_ANY):
+        return w
     return _map_suffix(w, _STEP2_ORDERED, 0)
 
 
 def _step3(w: str) -> str:
+    if not w.endswith(_STEP3_ANY):
+        return w
     return _map_suffix(w, _STEP3_ORDERED, 0)
 
 
 def _step4(w: str) -> str:
+    if not w.endswith(_STEP4_ANY):
+        return w
     for suffix in _STEP4_ORDERED:
         if w.endswith(suffix):
             stem = w[: len(w) - len(suffix)]

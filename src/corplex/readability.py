@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .textpipe import Sentence, WORD, is_complex_word, split_sentences, tokenize
+from .textpipe import (
+    Sentence,
+    Token,
+    WORD,
+    is_complex_word,
+    split_sentences,
+    tokenize,
+    type_counts,
+)
 
 
 class FogReport(NamedTuple):
@@ -55,16 +63,19 @@ class GroupStats(NamedTuple):
 
 def gunning_fog(sentences: Sequence[Sentence]) -> FogReport:
     """Fog report over an already-split sentence list."""
+    sentences = list(sentences)
+    return fog_from_types(type_counts(sentences), len(sentences))
+
+
+def fog_from_types(types: Mapping[Token, int], n_sent: int) -> FogReport:
+    """Fog report from a token-type -> count table and a sentence count."""
     words = 0
     complex_words = 0
-    n_sent = 0
-    for sentence in sentences:
-        n_sent += 1
-        for tok in sentence.tokens:
-            if tok.kind == WORD:
-                words += 1
-                if is_complex_word(tok.surface):
-                    complex_words += 1
+    for tok, count in types.items():
+        if tok.kind == WORD:
+            words += count
+            if is_complex_word(tok.surface):
+                complex_words += count
     return FogReport.from_counts(words, n_sent, complex_words)
 
 
@@ -76,6 +87,7 @@ def corpus_fog(
     docs: Iterable,
     granularity: str = "per_document",
     warnings: Counter | None = None,
+    tokenizer: Callable[[str], list[Token]] | None = None,
 ):
     """Fog over a document collection.
 
@@ -83,21 +95,24 @@ def corpus_fog(
     documents that cannot be scored (no words) are skipped with a counted
     warning, as is the lone-document case where stderr degenerates to 0.
     pooled: every document's sentences pooled into one FogReport.
+    tokenizer turns a body into tokens (default textpipe.tokenize); a
+    caller that already holds each line's tokens passes its cache here.
     """
     if granularity not in ("per_document", "pooled"):
         raise ValueError(f"bad granularity {granularity!r}")
     warnings = warnings if warnings is not None else Counter()
+    body_tokens = tokenizer or tokenize
     if granularity == "pooled":
         all_sentences: list[Sentence] = []
         for doc in docs:
-            all_sentences.extend(split_sentences(tokenize(_body(doc))))
+            all_sentences.extend(split_sentences(body_tokens(_body(doc))))
         if not all_sentences:
             raise ValueError("no sentences to pool")
         return gunning_fog(all_sentences)
     reports: list[tuple[object, FogReport]] = []
     for doc in docs:
         try:
-            report = text_fog(_body(doc))
+            report = gunning_fog(split_sentences(body_tokens(_body(doc))))
         except ValueError:
             warnings["fog_skipped"] += 1
             continue

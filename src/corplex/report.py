@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from . import lexstats, posstats, readability, sampling
 from .errors import CorplexError
 from .lexstats import BOUNDARY  # noqa: F401  (re-exported for report consumers)
-from .textpipe import Sentence
+from .textpipe import Sentence, type_counts
 
 
 def _round6(value):
@@ -51,18 +51,20 @@ def _fog_block(report: readability.FogReport) -> dict:
 
 
 def _corpus_block(sentences: list[Sentence]) -> dict:
-    stream = [t.surface for s in sentences for t in s.tokens]
-    V, N = lexstats.type_token_counts(stream)
-    stats = lexstats.corpus_stats(sentences)
+    # every measure below reads this one type table, paying per type
+    types = type_counts(sentences)
+    folded = lexstats.folded_counts(types)
+    V, N = len(folded), sum(folded.values())
+    stats = lexstats.corpus_stats_from_types(types, len(sentences))
     try:
-        fog = _fog_block(readability.gunning_fog(sentences))
+        fog = _fog_block(readability.fog_from_types(types, len(sentences)))
     except ValueError:  # no word-kind tokens survived the condition
         fog = None
     return {
         "V": V,
         "N": N,
         "C": lexstats.herdan_c(V, N) if V >= 2 and N >= 2 else None,
-        "entropy_bits": lexstats.unigram_entropy(stream),
+        "entropy_bits": lexstats.entropy_bits(folded.values(), N),
         "fog": fog,
         "corpus_stats": {
             "chars_per_word": stats.chars_per_word,
@@ -110,9 +112,11 @@ def compare_corpora(
     groups_a = [sampling.doc_lines(d) for d in docs_a]
     groups_b = [sampling.doc_lines(d) for d in docs_b]
     sample_a = sampling.Sample.from_lines([l for g in groups_a for l in g], seed)
+    # every line of either corpus is tokenized once, for fog and all conditions
+    lines = sampling.LineCache(exclude_patterns)
 
-    fog_stats_a, _ = readability.corpus_fog(docs_a, warnings=warnings)
-    fog_stats_b, _ = readability.corpus_fog(docs_b, warnings=warnings)
+    fog_stats_a, _ = readability.corpus_fog(docs_a, warnings=warnings, tokenizer=lines.body_tokens)
+    fog_stats_b, _ = readability.corpus_fog(docs_b, warnings=warnings, tokenizer=lines.body_tokens)
     try:
         t, df, p = readability.welch_t_test(fog_stats_a, fog_stats_b)
         welch_block = {"t": t, "df": df, "p_two_sided": p}
@@ -137,7 +141,7 @@ def compare_corpora(
     for code in codes:
         try:
             report["conditions"][code] = _condition_block(
-                code, sample_a, groups_b, ngram_max_n, seed, exclude_patterns, boundary_policy
+                code, lines, sample_a, groups_b, ngram_max_n, seed, boundary_policy
             )
         except (ValueError, CorplexError) as exc:
             raise CorplexError(f"condition {code}: {exc}") from exc
@@ -145,7 +149,7 @@ def compare_corpora(
 
 
 def _condition_block(
-    code, sample_a, groups_b, ngram_max_n, seed, exclude_patterns, boundary_policy
+    code, lines, sample_a, groups_b, ngram_max_n, seed, boundary_policy
 ) -> dict:
     cond = sampling.ConditionSpec.parse(code)
     unit = cond.unit
@@ -153,8 +157,8 @@ def _condition_block(
     sample_b = sampling.build_balanced_sample_grouped(
         groups_b, target, unit, _condition_seed(seed, code)
     )
-    sentences_a = sampling.apply_condition(sample_a.lines, cond, exclude_patterns)
-    sentences_b = sampling.apply_condition(sample_b.lines, cond, exclude_patterns)
+    sentences_a = lines.apply(sample_a.lines, cond)
+    sentences_b = lines.apply(sample_b.lines, cond)
     block_a = _corpus_block(sentences_a)
     block_b = _corpus_block(sentences_b)
 

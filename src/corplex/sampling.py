@@ -4,11 +4,19 @@ Sampling uses a self-contained 64-bit splitmix generator so identical
 (pool order, seed) inputs give identical samples on every platform and
 Python version.  Lines are the balancing atom: whole lines are appended in
 shuffled order until the running size first reaches the target.
+
+Conditions run through a LineCache, which tokenizes, exclude-checks and
+sentence-splits each distinct line once.  Every processing step is then a
+function of the token type alone, so a condition is a per-type map over the
+cached sentences: punctuation strip drops a type, Porter maps a word type
+to its stem (the token keeps its kind).  apply_condition is the one-shot
+use of a cache, with the signature and results it always had.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InsufficientPoolError
@@ -18,7 +26,7 @@ from .textpipe import (
     Token,
     WORD,
     detokenize,
-    filter_punctuation,
+    is_punctuation_mark,
     split_sentences,
     tokenize,
 )
@@ -227,6 +235,85 @@ def doc_lines(doc) -> list[str]:
     return [line for line in body.splitlines() if line.strip()]
 
 
+class LineCache:
+    """Each distinct line tokenized, exclude-checked and sentence-split once.
+
+    Lines whose space-joined token text contains any exclude pattern are
+    dropped whole (case-sensitive substring match).  Sentences are split
+    before any condition step, so boundary marks do their job even where
+    punctuation is stripped later.
+    """
+
+    def __init__(self, exclude_patterns: Sequence[str] | None = None):
+        self._patterns = tuple(exclude_patterns or ())
+        self._tokens: dict[str, list[Token]] = {}
+        self._sentences: dict[str, list[Sentence]] = {}
+        self._stems: dict[str, Token] = {}
+        # (strip, stem) -> token type -> processed token, None when dropped
+        self._maps: dict[tuple[bool, bool], dict[Token, Token | None]] = {}
+
+    def tokens(self, line: str) -> list[Token]:
+        """tokenize(line), computed once per distinct line."""
+        toks = self._tokens.get(line)
+        if toks is None:
+            toks = self._tokens[line] = tokenize(line)
+        return toks
+
+    def body_tokens(self, body: str) -> list[Token]:
+        """tokenize(body), assembled from the cached tokens of its lines.
+
+        Equal because every line break is whitespace to str.split, so no
+        whitespace chunk spans two lines, and blank lines hold no chunk.
+        """
+        return [tok for line in doc_lines(body) for tok in self.tokens(line)]
+
+    def sentences(self, line: str) -> list[Sentence]:
+        """The line's raw sentences; none if it is blank or excluded."""
+        sents = self._sentences.get(line)
+        if sents is None:
+            toks = self.tokens(line)
+            if not toks or self._excluded(toks):
+                sents = []
+            else:
+                sents = split_sentences(toks)
+            self._sentences[line] = sents
+        return sents
+
+    def _excluded(self, toks: list[Token]) -> bool:
+        if not self._patterns:
+            return False
+        joined = detokenize(toks)
+        return any(p in joined for p in self._patterns)
+
+    def _process(self, tok: Token, strip: bool, stem: bool) -> Token | None:
+        if strip and is_punctuation_mark(tok):
+            return None
+        if stem and tok.kind == WORD:
+            stemmed = self._stems.get(tok.surface)
+            if stemmed is None:  # shared by both stemming maps: one call per word type
+                stemmed = self._stems[tok.surface] = Token(porter_stem(tok.surface), WORD)
+            return stemmed
+        return tok
+
+    def apply(self, lines: Iterable[str], cond: ConditionSpec) -> list[Sentence]:
+        """The lines' sentences under the condition; sentences left empty are dropped."""
+        raw = [s for line in lines for s in self.sentences(line)]
+        strip = cond.punctuation == "strip"
+        stem = cond.stemming == "porter"
+        if not (strip or stem):
+            return raw
+        type_map = self._maps.setdefault((strip, stem), {})
+        for tok in set(chain.from_iterable(s.tokens for s in raw)).difference(type_map):
+            type_map[tok] = self._process(tok, strip, stem)
+        lookup = type_map.__getitem__
+        out: list[Sentence] = []
+        for sentence in raw:
+            toks = tuple(filter(None, map(lookup, sentence.tokens)))
+            if toks:
+                out.append(Sentence(toks))
+        return out
+
+
 def apply_condition(
     lines: Iterable[str],
     cond: ConditionSpec,
@@ -237,27 +324,7 @@ def apply_condition(
     Lines whose space-joined token text contains any exclude pattern are
     dropped whole (case-sensitive substring match).  Sentences are split
     before punctuation is stripped, so boundary marks do their job first;
-    sentences left empty by filtering are dropped.
+    sentences left empty by filtering are dropped.  Callers running several
+    conditions over the same lines keep one LineCache instead.
     """
-    patterns = list(exclude_patterns or [])
-    out: list[Sentence] = []
-    for line in lines:
-        tokens = tokenize(line)
-        if not tokens:
-            continue
-        if patterns:
-            joined = detokenize(tokens)
-            if any(p in joined for p in patterns):
-                continue
-        for sentence in split_sentences(tokens):
-            toks: Sequence[Token] = sentence.tokens
-            if cond.punctuation == "strip":
-                toks = filter_punctuation(list(toks))
-            if cond.stemming == "porter":
-                toks = [
-                    Token(porter_stem(t.surface), t.kind) if t.kind == WORD else t
-                    for t in toks
-                ]
-            if toks:
-                out.append(Sentence(tuple(toks)))
-    return out
+    return LineCache(exclude_patterns).apply(lines, cond)

@@ -9,7 +9,9 @@ in parallel with no shared state.  The punctuation set is the nine characters
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 WORD = "word"
@@ -49,7 +51,9 @@ def classify(surface: str) -> str:
     return PUNCTUATION
 
 
+@lru_cache(maxsize=65536)
 def _token(surface: str) -> Token:
+    # one shared Token per type, so cached token lists cost a reference each
     return Token(surface, classify(surface))
 
 
@@ -152,13 +156,19 @@ def split_sentences(tokens_or_text: str | list[Token]) -> list[Sentence]:
     return sentences
 
 
+def is_punctuation_mark(tok: Token) -> bool:
+    """A punctuation token made up of the nine-character set: what N strips."""
+    return tok.kind == PUNCTUATION and all(c in _PUNCT_SET for c in tok.surface)
+
+
 def filter_punctuation(tokens: Iterable[Token]) -> list[Token]:
     """Drop punctuation tokens made up of the nine-character set; keep the rest."""
-    return [
-        t
-        for t in tokens
-        if not (t.kind == PUNCTUATION and all(c in _PUNCT_SET for c in t.surface))
-    ]
+    return [t for t in tokens if not is_punctuation_mark(t)]
+
+
+def type_counts(sentences: Iterable[Sentence]) -> Counter:
+    """Token type -> number of occurrences over a sentence list."""
+    return Counter(chain.from_iterable(s.tokens for s in sentences))
 
 
 # Words the vowel-group heuristic gets wrong by more than rounding.

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -348,18 +349,35 @@ class TestPlotdata:
         assert err.value.code == 1
 
 
-class TestFetch:
-    def test_file_url(self, tmp_path):
-        src = tmp_path / "src.txt"
-        src.write_text("payload\n")
-        out = tmp_path / "got.txt"
-        assert cli.main(["fetch", src.as_uri(), str(out)]) == 0
-        assert out.read_text() == "payload\n"
+@pytest.mark.parametrize("args", [
+    ["ngram", "{a}", "--n", "0"],
+    ["pos", "{tags}", "{tags}", "--n", "0"],
+    ["sample", "{a}", "--target", "0"],
+    ["plotdata", "{a}", "--kind", "heaps", "--checkpoints", "0", "-o", "{out}"],
+    ["plotdata", "{a}", "--kind", "ngram_zipf", "--n", "-1", "-o", "{out}"],
+    ["compare", "{a}", "{a}", "--conditions", "XX"],
+    ["compare", "{a}", "{a}", "--conditions", "WB,wb"],
+])
+def test_out_of_range_arguments_are_usage_errors(args, corpus_a, tags, tmp_path, capsys):
+    argv = [a.format(a=corpus_a, tags=tags, out=tmp_path / "out.tsv") for a in args]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: corplex " + args[0])
+    assert "Traceback" not in stderr
 
-    def test_unreachable(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        assert cli.main(["fetch", "http://127.0.0.1:1/none", str(out)]) == 2
-        assert "fetch failed" in capsys.readouterr().err
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the Heaps functions, which import it when called
+    probe = "import sys, corplex.cli; print('numpy' in sys.modules)"
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _console_script_command():

@@ -1,0 +1,347 @@
+"""The once-per-distinct-item compare path against the per-token code it replaced.
+
+Each oracle below is the earlier implementation, copied verbatim:
+apply_condition, which tokenized and processed every line anew for each
+condition; the corpus block with the sentence-list statistics it called;
+the per-window n-gram loop that applied the boundary rule to every window;
+and the plain entropy and cosine sums.  The new code must give identical
+results: the same sentences, the same report block (floats compared
+exactly) and the same count tables, under all eight conditions, for both
+boundary policies and with sharded counting.
+"""
+
+import math
+import re
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from corplex import lexstats, posstats, readability, report
+from corplex.lexstats import BOUNDARY, CountTable
+from corplex.porter import porter_stem
+from corplex.sampling import ConditionSpec, LineCache, apply_condition, doc_lines
+from corplex.textpipe import (
+    PUNCTUATION,
+    SUBSENTENCE_SEPARATORS,
+    Sentence,
+    Token,
+    WORD,
+    detokenize,
+    filter_punctuation,
+    is_complex_word,
+    split_sentences,
+    tokenize,
+)
+
+CODES = ConditionSpec.all_codes()
+
+# ---------------------------------------------------------------------------
+# oracle: the condition path and corpus block as they were
+
+
+def old_apply_condition(lines, cond, exclude_patterns=None):
+    patterns = list(exclude_patterns or [])
+    out = []
+    for line in lines:
+        tokens = tokenize(line)
+        if not tokens:
+            continue
+        if patterns:
+            joined = detokenize(tokens)
+            if any(p in joined for p in patterns):
+                continue
+        for sentence in split_sentences(tokens):
+            toks = sentence.tokens
+            if cond.punctuation == "strip":
+                toks = filter_punctuation(list(toks))
+            if cond.stemming == "porter":
+                toks = [
+                    Token(porter_stem(t.surface), t.kind) if t.kind == WORD else t
+                    for t in toks
+                ]
+            if toks:
+                out.append(Sentence(tuple(toks)))
+    return out
+
+
+def _fold_stream(tokens):
+    for tok in tokens:
+        surface = tok if isinstance(tok, str) else tok.surface
+        yield surface.lower()
+
+
+def old_type_token_counts(tokens):
+    counts = Counter(_fold_stream(tokens))
+    return len(counts), sum(counts.values())
+
+
+def old_unigram_entropy(tokens):
+    counts = Counter(_fold_stream(tokens))
+    total = sum(counts.values())
+    if total < 1:
+        raise ValueError("unigram_entropy needs a non-empty stream")
+    return -math.fsum((c / total) * math.log2(c / total) for c in counts.values())
+
+
+def old_table_entropy(table):
+    total = table.total
+    return -math.fsum((c / total) * math.log2(c / total) for c in table.entries.values())
+
+
+def old_corpus_stats(sentences):
+    sentences = list(sentences)
+    if not sentences:
+        raise ValueError("corpus_stats needs at least one sentence")
+    word_chars = words = tokens = separators = content = 0
+    for sentence in sentences:
+        for tok in sentence.tokens:
+            tokens += 1
+            if tok.kind == WORD:
+                words += 1
+                word_chars += len(tok.surface)
+            if tok.kind == PUNCTUATION:
+                separators += sum(ch in SUBSENTENCE_SEPARATORS for ch in tok.surface)
+            else:
+                content += 1
+    n_sent = len(sentences)
+    subsentences = separators + n_sent
+    return lexstats.CorpusStats(
+        chars_per_word=word_chars / words if words else 0.0,
+        words_per_sentence=tokens / n_sent,
+        separators_per_sentence=separators / n_sent,
+        content_words_per_subsentence=content / subsentences,
+    )
+
+
+def old_gunning_fog(sentences):
+    words = 0
+    complex_words = 0
+    n_sent = 0
+    for sentence in sentences:
+        n_sent += 1
+        for tok in sentence.tokens:
+            if tok.kind == WORD:
+                words += 1
+                if is_complex_word(tok.surface):
+                    complex_words += 1
+    return readability.FogReport.from_counts(words, n_sent, complex_words)
+
+
+def old_corpus_block(sentences):
+    stream = [t.surface for s in sentences for t in s.tokens]
+    V, N = old_type_token_counts(stream)
+    stats = old_corpus_stats(sentences)
+    try:
+        fog = report._fog_block(old_gunning_fog(sentences))
+    except ValueError:
+        fog = None
+    return {
+        "V": V,
+        "N": N,
+        "C": lexstats.herdan_c(V, N) if V >= 2 and N >= 2 else None,
+        "entropy_bits": old_unigram_entropy(stream),
+        "fog": fog,
+        "corpus_stats": {
+            "chars_per_word": stats.chars_per_word,
+            "words_per_sentence": stats.words_per_sentence,
+            "separators_per_sentence": stats.separators_per_sentence,
+            "content_words_per_subsentence": stats.content_words_per_subsentence,
+        },
+    }
+
+
+def old_fold_sentences(sentences):
+    return [tuple(t.surface.lower() for t in s.tokens) for s in sentences]
+
+
+# ---------------------------------------------------------------------------
+# oracle: n-gram counting with the boundary rule applied per window
+
+
+def old_count_section(counts, sentences, n, postprocess):
+    stream = [BOUNDARY]
+    for sentence in sentences:
+        stream.extend(sentence.surfaces() if isinstance(sentence, Sentence) else tuple(sentence))
+        stream.append(BOUNDARY)
+    if len(stream) == 1:
+        return
+    for i in range(len(stream) - n + 1):
+        window = tuple(stream[i : i + n])
+        if postprocess:
+            if BOUNDARY in window:
+                window = lexstats._postprocess_window(window)
+                if window is None:
+                    continue
+        counts[window] += 1
+
+
+def old_count_corpus_ngrams(sections, n, postprocess):
+    counts = Counter()
+    for sentences in sections:
+        old_count_section(counts, sentences, n, postprocess)
+    return dict(counts)
+
+
+def old_cosine_angle(a, b):
+    small, large = (a.entries, b.entries) if len(a.entries) <= len(b.entries) else (b.entries, a.entries)
+    dot = sum(count * large.get(key, 0) for key, count in small.items())
+    norm_sq_a = sum(c * c for c in a.entries.values())
+    norm_sq_b = sum(c * c for c in b.entries.values())
+    similarity = dot / math.sqrt(norm_sq_a * norm_sq_b)
+    similarity = max(-1.0, min(1.0, similarity))
+    return similarity, math.degrees(math.acos(similarity))
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+# every character str.split treats as whitespace, line breaks included
+WHITESPACE = (" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+              "\x85", "\xa0", "\u1680", "\u2000", "\u2005", "\u200a", "\u2028",
+              "\u2029", "\u202f", "\u205f", "\u3000")
+
+FRAGMENTS = (
+    # words, case variants, stemmable suffixes
+    "The", "the", "THE", "cat", "Cats", "running", "runners", "relational",
+    "generalization", "happiness", "caresses", "ponies", "agreed", "hopping",
+    "controlling", "electrical", "adjustable", "co-op", "naïve", "Zürich",
+    # clitics
+    "don't", "it's", "They're", "we've", "you'll", "I'd", "I'm", "'s", "n't", "o'clock",
+    # abbreviations and initials before a period
+    "Dr", "Mr.", "mrs", "U.S.", "e.g.", "etc", "J", "J.", "K.", "vs",
+    # numbers and digits
+    "3.5", "42", "1999", "7th", "x2",
+    # punctuation runs and marks outside the nine-character set
+    ".", ",", "?", "!", ";", ":", "(", ")", '"', "...", "?!", "),", '."', "--", "-", "'",
+    "§", "&", "%",
+)
+
+EXCLUDE_PATTERNS = ("cat", "Dr .", "the", "n't", "3.5", ", ", "§", "The cat", "")
+
+line_text = st.lists(
+    st.tuples(st.sampled_from(FRAGMENTS), st.sampled_from(WHITESPACE + ("",))),
+    max_size=14,
+).map(lambda parts: "".join(f + sep for f, sep in parts))
+line_lists = st.lists(line_text, max_size=8)
+pattern_lists = st.lists(st.sampled_from(EXCLUDE_PATTERNS), max_size=2)
+
+
+def _same_block(lines, cond, patterns, cache):
+    new_sentences = cache.apply(lines, cond)
+    old_sentences = old_apply_condition(lines, cond, patterns)
+    assert new_sentences == old_sentences
+    assert lexstats.fold_sentences(new_sentences) == old_fold_sentences(old_sentences)
+    try:
+        expected = old_corpus_block(old_sentences)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            report._corpus_block(new_sentences)
+    else:
+        assert report._corpus_block(new_sentences) == expected
+
+
+class TestConditionPath:
+    @pytest.mark.parametrize("code", CODES)
+    @settings(max_examples=150, deadline=None)
+    @given(lines=line_lists, patterns=pattern_lists)
+    def test_apply_condition_matches_old(self, code, lines, patterns):
+        cond = ConditionSpec.parse(code)
+        assert apply_condition(lines, cond, patterns) == old_apply_condition(lines, cond, patterns)
+
+    @pytest.mark.parametrize("code", CODES)
+    @settings(max_examples=150, deadline=None)
+    @given(lines=line_lists, patterns=pattern_lists)
+    def test_corpus_block_matches_old(self, code, lines, patterns):
+        _same_block(lines, ConditionSpec.parse(code), patterns, LineCache(patterns))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pools=st.lists(line_lists, min_size=1, max_size=6),
+           codes=st.lists(st.sampled_from(CODES), min_size=1, max_size=12),
+           patterns=pattern_lists)
+    def test_one_cache_serves_every_condition(self, pools, codes, patterns):
+        # compare's use: one cache across conditions and overlapping samples
+        cache = LineCache(patterns)
+        for i, code in enumerate(codes):
+            _same_block(pools[i % len(pools)], ConditionSpec.parse(code), patterns, cache)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(line_text, max_size=8).map("\n".join))
+    def test_body_tokens_are_line_tokens_joined(self, body):
+        expected = tokenize(body)
+        assert [t for line in doc_lines(body) for t in tokenize(line)] == expected
+        assert LineCache().body_tokens(body) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(bodies=st.lists(st.lists(line_text, max_size=6).map("\n".join), min_size=1, max_size=5))
+    def test_fog_through_the_cache(self, bodies):
+        cache = LineCache()
+        for granularity in ("per_document", "pooled"):
+            try:
+                expected = readability.corpus_fog(bodies, granularity)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    readability.corpus_fog(bodies, granularity, tokenizer=cache.body_tokens)
+            else:
+                assert readability.corpus_fog(bodies, granularity,
+                                              tokenizer=cache.body_tokens) == expected
+
+
+# ---------------------------------------------------------------------------
+# n-gram counting
+
+SYMBOLS = ("a", "b", "c", BOUNDARY)
+sections = st.lists(
+    st.lists(st.lists(st.sampled_from(SYMBOLS), max_size=5).map(tuple), max_size=5),
+    max_size=5,
+)
+
+
+class TestNgramCounting:
+    @pytest.mark.parametrize("policy", ["raw", "postprocessed"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @settings(max_examples=200, deadline=None)
+    @given(secs=sections)
+    def test_serial_matches_window_loop(self, policy, n, secs):
+        table = lexstats.count_corpus_ngrams(secs, n, policy)
+        assert table.entries == old_count_corpus_ngrams(secs, n, policy == "postprocessed")
+
+    @pytest.mark.parametrize("policy", ["raw", "postprocessed"])
+    @settings(max_examples=15, deadline=None)
+    @given(secs=sections, n=st.integers(1, 5))
+    def test_sharded_matches_window_loop(self, policy, n, secs):
+        table = lexstats.count_corpus_ngrams(secs, n, policy, processes=2)
+        assert table.entries == old_count_corpus_ngrams(secs, n, policy == "postprocessed")
+
+    def test_rule_output_that_is_also_a_raw_key(self):
+        # at n = 6 the rule maps "a a § a § §" to "a a § § § §", which is
+        # itself a raw window here and one the rule drops: every marked key
+        # must leave the table before any rule output is added back
+        assert lexstats._postprocess_window(("a", "a", BOUNDARY, "a", BOUNDARY, BOUNDARY)) == (
+            "a", "a", BOUNDARY, BOUNDARY, BOUNDARY, BOUNDARY)
+        assert lexstats._postprocess_window(("a", "a") + (BOUNDARY,) * 4) is None
+        secs = [[("a", "a"), ("a",), (), ("a", "a"), (), (), ()]]
+        table = lexstats.count_corpus_ngrams(secs, 6, "postprocessed")
+        assert table.entries == old_count_corpus_ngrams(secs, 6, True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_all_marker_and_empty_sections(self, n):
+        secs = [[], [()], [(), ()], [(BOUNDARY,) * 4], [(BOUNDARY,), ("a",), ()], []]
+        for policy in ("raw", "postprocessed"):
+            table = lexstats.count_corpus_ngrams(secs, n, policy)
+            assert table.entries == old_count_corpus_ngrams(secs, n, policy == "postprocessed")
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=sections, b=sections, n=st.integers(1, 3))
+    def test_entropy_and_cosine_match_plain_sums(self, a, b, n):
+        table_a = lexstats.count_corpus_ngrams(a, n, "raw")
+        table_b = lexstats.count_corpus_ngrams(b, n, "raw")
+        if table_a.total and table_b.total:
+            assert lexstats.table_entropy(table_a) == old_table_entropy(table_a)
+            assert posstats.cosine_angle(table_a, table_b) == old_cosine_angle(table_a, table_b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 50), min_size=1, max_size=60))
+    def test_entropy_of_repeated_counts(self, counts):
+        table = CountTable(1, {(str(i),): c for i, c in enumerate(counts)})
+        assert lexstats.table_entropy(table) == old_table_entropy(table)

@@ -2,6 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corplex.porter import (
+    _STEP2_ORDERED,
+    _STEP3_ORDERED,
+    _STEP4_ORDERED,
+    _map_suffix,
     _measure,
     _step1a,
     _step1b,
@@ -183,3 +187,31 @@ class TestFullPipeline:
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=3, max_size=25))
     def test_deterministic(self, word):
         assert porter_stem(word) == porter_stem(word)
+
+
+def _old_step4(w):
+    # step 4 as it was, walking every suffix with no all-suffix pre-check
+    for suffix in _STEP4_ORDERED:
+        if w.endswith(suffix):
+            stem = w[: len(w) - len(suffix)]
+            if _measure(stem) > 1:
+                if suffix == "ion" and not stem.endswith(("s", "t")):
+                    return w
+                return stem
+            return w
+    return w
+
+
+_SUFFIXES = sorted({s for s, _ in _STEP2_ORDERED} | {s for s, _ in _STEP3_ORDERED}
+                   | set(_STEP4_ORDERED))
+
+
+class TestSuffixPrecheck:
+    """Steps 2-4 first test all their suffixes at once; results must not move."""
+
+    @given(st.text(alphabet="abceilnorstuvyz", max_size=8), st.sampled_from(_SUFFIXES))
+    def test_steps_match_the_full_walk(self, stem, suffix):
+        for w in (stem, stem + suffix, stem + suffix[1:]):
+            assert _step2(w) == _map_suffix(w, _STEP2_ORDERED, 0)
+            assert _step3(w) == _map_suffix(w, _STEP3_ORDERED, 0)
+            assert _step4(w) == _old_step4(w)
