@@ -6,8 +6,9 @@ separates consecutive sentences, plus one marker at the section start and
 end.  Markers never span sections, so counting a corpus section-by-section
 and merging the tables is exactly the single-pass result.  Windows are
 counted raw, at C speed; the postprocessed policy then applies the boundary
-rule once per distinct window holding a marker, which is exact because the
-rule depends on the window alone.
+rule to each distinct window holding a marker.  The rule reads only where
+the markers sit, so it is looked up in a table keyed by (n, marker
+bitmask), which _postprocess_window fills the first time a mask turns up.
 
 Type-level statistics (type_token_counts, zipf_table, unigram_entropy,
 heaps_*) fold surfaces to lowercase.  n-gram counting does not fold: its
@@ -24,8 +25,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from collections import Counter
-from functools import lru_cache
+from collections import Counter, _count_elements
 from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -48,6 +48,14 @@ class CountTable:
         self.entries: dict[tuple[str, ...], int] = dict(entries or {})
         self.total = sum(self.entries.values())
 
+    @classmethod
+    def _owning(cls, n: int, entries: dict[tuple[str, ...], int]) -> "CountTable":
+        """A table over entries itself, not a copy; the caller gives them up."""
+        table = cls(n)
+        table.entries = entries
+        table.total = sum(entries.values())
+        return table
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -66,7 +74,7 @@ class CountTable:
         merged = dict(self.entries)
         for key, count in other.entries.items():
             merged[key] = merged.get(key, 0) + count
-        return CountTable(self.n, merged)
+        return CountTable._owning(self.n, merged)
 
     def ranked(self) -> list[tuple[int, tuple[str, ...], int]]:
         """(rank, key, count) sorted by count desc, ties lexicographic."""
@@ -213,7 +221,6 @@ def table_entropy(table: CountTable) -> float:
     return entropy_bits(table.entries.values(), table.total)
 
 
-@lru_cache(maxsize=262144)
 def _postprocess_window(window: tuple[str, ...]):
     """Apply the boundary rule to one window; None means the window is dropped.
 
@@ -263,6 +270,35 @@ def _postprocess_window(window: tuple[str, ...]):
     return tuple(out)
 
 
+_KEEP = (0, 0)
+
+
+def _mask_action(n: int, mask: int):
+    """What the boundary rule does to every n-window with markers at mask's bits.
+
+    None drops the window; otherwise (left, right): that many leading and
+    trailing positions become markers, so _KEEP leaves the window as it is.
+    _postprocess_window reads only where the markers sit, so one stand-in
+    window per mask answers for all windows with that mask.
+    """
+    window = tuple(BOUNDARY if mask >> i & 1 else "" for i in range(n))
+    out = _postprocess_window(window)
+    if out is None:
+        return None
+    if out == window:
+        return _KEEP  # the one object _count_sections tests for by identity
+    # the rule marks a prefix or a suffix, so everything between the first
+    # and the last non-marker of its output is the window unchanged
+    left = next(i for i, sym in enumerate(out) if sym != BOUNDARY)
+    right = next(i for i, sym in enumerate(reversed(out)) if sym != BOUNDARY)
+    return left, right
+
+
+# n -> marker bitmask -> _mask_action(n, mask), filled as masks turn up: at
+# most 2**n entries per n, and only the masks real windows have
+_RULES: dict[int, dict[int, tuple[int, int] | None]] = {}
+
+
 def _section_stream(sentences) -> list[str]:
     stream = [BOUNDARY]
     for sentence in sentences:
@@ -271,35 +307,59 @@ def _section_stream(sentences) -> list[str]:
     return stream
 
 
-def _count_sections(sections, n: int, postprocess: bool) -> Counter:
+def _count_sections(sections, n: int, postprocess: bool) -> dict[tuple[str, ...], int]:
     """Window counts over sections, the boundary rule applied if asked."""
-    counts: Counter = Counter()
+    counts: dict[tuple[str, ...], int] = {}
     for sentences in sections:
         stream = _section_stream(sentences)
         if len(stream) > 1:  # an empty section is a lone marker, no windows of interest
-            counts.update(zip(*[stream[i:] for i in range(n)]))
+            # Counter.update's C loop, run on a plain dict: a Counter's
+            # Python-level __eq__ would slow every comparison of tables
+            _count_elements(counts, zip(*[stream[i:] for i in range(n)]))
     if postprocess:
+        rules = _RULES.get(n)
+        if rules is None:
+            rules = _RULES[n] = {}
+        marked_out: list[tuple[str, ...]] = []  # keys holding a marker after the rule
+        moved: list[tuple[tuple[str, ...], int]] = []
         # a marked key the rule leaves as it is stays put.  Every other one
         # comes out before any rule output goes back in, since an output can
-        # itself be such a raw key; plain dict pop/get skip Counter's
-        # Python-level __delitem__ and __missing__
-        changed = [(key, window) for key in counts
-                   if BOUNDARY in key and (window := _postprocess_window(key)) != key]
-        moved = [(window, counts.pop(key)) for key, window in changed]
+        # itself be such a raw key
+        for key in [key for key in counts if BOUNDARY in key]:
+            mask = 0
+            for i, sym in enumerate(key):
+                if sym == BOUNDARY:
+                    mask |= 1 << i
+            try:
+                action = rules[mask]
+            except KeyError:
+                action = rules[mask] = _mask_action(n, mask)
+            if action is _KEEP:
+                marked_out.append(key)
+            elif action is None:
+                del counts[key]
+            else:
+                left, right = action
+                window = (BOUNDARY,) * left + key[left:n - right] + (BOUNDARY,) * right
+                marked_out.append(window)
+                moved.append((window, counts.pop(key)))
         get = counts.get
         for window, count in moved:
-            if window is not None:
-                counts[window] = get(window, 0) + count
+            counts[window] = get(window, 0) + count
+        _check_center(n, marked_out)
     return counts
 
 
-def _check_center(table: CountTable) -> CountTable:
-    if table.n % 2 == 1:
-        mid = (table.n - 1) // 2
-        for key in table.entries:
+def _check_center(n: int, marked_keys: Iterable[tuple[str, ...]]) -> None:
+    """The rule never leaves a marker dead center of an odd window.
+
+    Only keys holding a marker can break this, so callers pass just those.
+    """
+    if n % 2 == 1:
+        mid = (n - 1) // 2
+        for key in marked_keys:
             if key[mid] == BOUNDARY:
                 raise AssertionError(f"boundary at center of odd key {key}")
-    return table
 
 
 def ngram_counts(sentences, n: int, boundary_policy: str = "postprocessed") -> CountTable:
@@ -322,7 +382,7 @@ def _init_worker(shards, n: int, postprocess: bool) -> None:
 
 def _count_shard(index: int) -> dict[tuple[str, ...], int]:
     shards, n, postprocess = _worker_job
-    return dict(_count_sections(shards[index], n, postprocess))
+    return _count_sections(shards[index], n, postprocess)
 
 
 def count_corpus_ngrams(
@@ -352,13 +412,12 @@ def count_corpus_ngrams(
         with ctx.Pool(len(shards), initializer=_init_worker,
                       initargs=(shards, n, postprocess)) as pool:
             results = pool.map(_count_shard, range(len(shards)))
-        counts = Counter()
-        for part in results:
-            counts.update(part)
-    table = CountTable(n, counts)
-    if postprocess:
-        _check_center(table)
-    return table
+        counts = results[0]
+        get = counts.get
+        for part in results[1:]:
+            for key, count in part.items():
+                counts[key] = get(key, 0) + count
+    return CountTable._owning(n, counts)
 
 
 class CorpusStats(NamedTuple):

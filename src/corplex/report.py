@@ -7,6 +7,7 @@ seed, so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import Counter
 from typing import Iterable, Sequence
@@ -99,8 +100,10 @@ def compare_corpora(
 
     A is the reference and is used whole; per condition, B is drawn down to
     A's size in the condition's unit (article-level draw, line-granular
-    stop).  Fog and the Welch test run per document over the full corpora,
-    since readability needs raw, unprocessed text.
+    stop).  The unit changes only B's draw, so A is processed and measured
+    once per processing (punctuation and stemming policy), not once per
+    condition.  Fog and the Welch test run per document over the full
+    corpora, since readability needs raw, unprocessed text.
     """
     docs_a = list(docs_a)
     docs_b = list(docs_b)
@@ -135,66 +138,116 @@ def compare_corpora(
             "b": _group_block(fog_stats_b),
             "welch": welch_block,
         },
-        "conditions": {},
+        "conditions": _condition_blocks(
+            codes, lines, sample_a, groups_b, ngram_max_n, seed, boundary_policy
+        ),
     }
-
-    for code in codes:
-        try:
-            report["conditions"][code] = _condition_block(
-                code, lines, sample_a, groups_b, ngram_max_n, seed, boundary_policy
-            )
-        except (ValueError, CorplexError) as exc:
-            raise CorplexError(f"condition {code}: {exc}") from exc
     return report
 
 
-def _condition_block(
-    code, lines, sample_a, groups_b, ngram_max_n, seed, boundary_policy
+def _condition_blocks(
+    codes, lines, sample_a, groups_b, ngram_max_n, seed, boundary_policy
 ) -> dict:
-    cond = sampling.ConditionSpec.parse(code)
-    unit = cond.unit
-    target = sample_a.size(unit)
-    sample_b = sampling.build_balanced_sample_grouped(
-        groups_b, target, unit, _condition_seed(seed, code)
-    )
-    sentences_a = lines.apply(sample_a.lines, cond)
-    sentences_b = lines.apply(sample_b.lines, cond)
-    block_a = _corpus_block(sentences_a)
-    block_b = _corpus_block(sentences_b)
+    """Each code's block, in the caller's order, with A measured once per processing.
 
-    # each table serves both its corpus's entropy and the A/B cosine
-    folded_a = lexstats.fold_sentences(sentences_a)
-    folded_b = lexstats.fold_sentences(sentences_b)
-    entropy_a, entropy_b, entropy_delta, angles = {}, {}, {}, {}
-    for n in range(1, ngram_max_n + 1):
-        table_a = lexstats.ngram_counts(folded_a, n, boundary_policy)
-        table_b = lexstats.ngram_counts(folded_b, n, boundary_policy)
-        key = str(n)
-        entropy_a[key] = lexstats.table_entropy(table_a) if table_a.total else 0.0
-        entropy_b[key] = lexstats.table_entropy(table_b) if table_b.total else 0.0
-        entropy_delta[key] = entropy_a[key] - entropy_b[key]
-        similarity, angle = posstats.cosine_angle(table_a, table_b)
-        angles[key] = {"similarity": similarity, "angle_degrees": angle}
-    block_a["ngram_entropy_bits"] = entropy_a
-    block_b["ngram_entropy_bits"] = entropy_b
+    C and W change only how B is balanced, so codes that share punctuation
+    and stemming policies share A's sentences, corpus block and n-gram
+    tables.  For each n, A's table is counted once and then each code's B
+    table, so no more tables are alive at once than with one code at a time.
+    Each code meets its errors in the order one-code-at-a-time evaluation
+    would, and the error raised is that of the earliest failing code in the
+    caller's order; codes after a failure are left unmeasured.
+    """
+    codes = list(dict.fromkeys(codes))  # a repeated code gives the same block again
+    errors: dict[int, Exception] = {}  # position in codes -> its first error
 
-    c_a, c_b = block_a["C"], block_b["C"]
-    return {
-        "a": block_a,
-        "b": block_b,
-        "sample_b": {
-            "target": target,
-            "achieved": sample_b.size(unit),
-            "size_ratio": sampling.size_ratio(sample_b, sample_a, unit),
-            "balanced": sampling.balanced(sample_b, sample_a, unit),
-            "lines": len(sample_b.lines),
-        },
-        "cross": {
-            "C_ratio": (c_a / c_b) if (c_a and c_b) else None,
-            "entropy_delta_bits": entropy_delta,
-            "cosine_angles": angles,
-        },
-    }
+    def measured(i: int) -> bool:  # not failed, and no earlier code has
+        return not errors or i < min(errors)
+
+    processings: dict[tuple[str, str], list] = {}
+    for i, code in enumerate(codes):
+        try:
+            cond = sampling.ConditionSpec.parse(code)
+        except ValueError as exc:
+            errors[i] = exc
+            break
+        processings.setdefault((cond.punctuation, cond.stemming), []).append((i, cond))
+
+    blocks: dict[int, dict] = {}
+    for members in processings.values():
+        sentences_a = lines.apply(sample_a.lines, members[0][1])
+        try:
+            block_a, error_a = _corpus_block(sentences_a), None
+        except ValueError as exc:
+            block_a, error_a = None, exc
+        folded_b = {}  # position -> B's sentences folded for counting
+        for i, cond in members:
+            if not measured(i):
+                continue
+            unit, target = cond.unit, sample_a.size(cond.unit)
+            try:
+                sample_b = sampling.build_balanced_sample_grouped(
+                    groups_b, target, unit, _condition_seed(seed, codes[i])
+                )
+                if error_a is not None:
+                    raise error_a
+                sentences_b = lines.apply(sample_b.lines, cond)
+                block_b = _corpus_block(sentences_b)
+            except (ValueError, CorplexError) as exc:
+                errors[i] = exc
+                continue
+            folded_b[i] = lexstats.fold_sentences(sentences_b)
+            c_a, c_b = block_a["C"], block_b["C"]
+            block = blocks[i] = {
+                "a": copy.deepcopy(block_a),  # each code owns its blocks
+                "b": block_b,
+                "sample_b": {
+                    "target": target,
+                    "achieved": sample_b.size(unit),
+                    "size_ratio": sampling.size_ratio(sample_b, sample_a, unit),
+                    "balanced": sampling.balanced(sample_b, sample_a, unit),
+                    "lines": len(sample_b.lines),
+                },
+                "cross": {
+                    "C_ratio": (c_a / c_b) if (c_a and c_b) else None,
+                    "entropy_delta_bits": {},
+                    "cosine_angles": {},
+                },
+            }
+            block["a"]["ngram_entropy_bits"] = {}
+            block_b["ngram_entropy_bits"] = {}
+
+        # each table serves both its corpus's entropy and the A/B cosine
+        folded_a = lexstats.fold_sentences(sentences_a)
+        for n in range(1, ngram_max_n + 1):
+            live = [i for i in folded_b if measured(i)]
+            if not live:
+                break
+            key = str(n)
+            try:
+                table_a = lexstats.ngram_counts(folded_a, n, boundary_policy)
+            except ValueError as exc:
+                errors.update(dict.fromkeys(live, exc))
+                break
+            entropy_a = lexstats.table_entropy(table_a) if table_a.total else 0.0
+            for i in live:
+                try:
+                    table_b = lexstats.ngram_counts(folded_b[i], n, boundary_policy)
+                    similarity, angle = posstats.cosine_angle(table_a, table_b)
+                except ValueError as exc:
+                    errors[i] = exc
+                    continue
+                entropy_b = lexstats.table_entropy(table_b) if table_b.total else 0.0
+                block, cross = blocks[i], blocks[i]["cross"]
+                block["a"]["ngram_entropy_bits"][key] = entropy_a
+                block["b"]["ngram_entropy_bits"][key] = entropy_b
+                cross["entropy_delta_bits"][key] = entropy_a - entropy_b
+                cross["cosine_angles"][key] = {"similarity": similarity, "angle_degrees": angle}
+
+    if errors:
+        first = min(errors)
+        raise CorplexError(f"condition {codes[first]}: {errors[first]}") from errors[first]
+    return {codes[i]: blocks[i] for i in range(len(codes))}
 
 
 def zipf_tsv_lines(ranked) -> Iterable[str]:

@@ -4,15 +4,17 @@ Each oracle below is the earlier implementation, copied verbatim:
 apply_condition, which tokenized and processed every line anew for each
 condition; the corpus block with the sentence-list statistics it called;
 the per-window n-gram loop that applied the boundary rule to every window;
-and the plain entropy and cosine sums.  The new code must give identical
-results: the same sentences, the same report block (floats compared
-exactly) and the same count tables, under all eight conditions, for both
-boundary policies and with sharded counting.
+the section counter that applied it once per distinct window; and the
+plain entropy and cosine sums.  The new code must give identical results:
+the same sentences, the same report block (floats compared exactly) and
+the same count tables, under all eight conditions, for both boundary
+policies and with sharded counting.
 """
 
 import math
 import re
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +185,46 @@ def old_count_corpus_ngrams(sections, n, postprocess):
     return dict(counts)
 
 
+# the section counter that applied the rule once per distinct marked window,
+# through a per-window cache of _postprocess_window
+
+_cached_rule = lru_cache(maxsize=262144)(lexstats._postprocess_window)
+
+
+def old_count_sections(sections, n, postprocess):
+    counts = Counter()
+    for sentences in sections:
+        stream = [BOUNDARY]
+        for sentence in sentences:
+            stream.extend(sentence.surfaces() if isinstance(sentence, Sentence) else sentence)
+            stream.append(BOUNDARY)
+        if len(stream) > 1:
+            counts.update(zip(*[stream[i:] for i in range(n)]))
+    if postprocess:
+        changed = [(key, window) for key in counts
+                   if BOUNDARY in key and (window := _cached_rule(key)) != key]
+        moved = [(window, counts.pop(key)) for key, window in changed]
+        get = counts.get
+        for window, count in moved:
+            if window is not None:
+                counts[window] = get(window, 0) + count
+    return counts
+
+
+def old_count_corpus_ngrams_by_key(sections, n, postprocess, processes=1):
+    sections = list(sections)
+    if processes <= 1 or len(sections) < 2:
+        counts = old_count_sections(sections, n, postprocess)
+    else:
+        shards = [[] for _ in range(min(processes, len(sections)))]
+        for i, sentences in enumerate(sections):
+            shards[i % len(shards)].append(sentences)
+        counts = Counter()
+        for shard in shards:
+            counts.update(dict(old_count_sections(shard, n, postprocess)))
+    return dict(counts)
+
+
 def old_cosine_angle(a, b):
     small, large = (a.entries, b.entries) if len(a.entries) <= len(b.entries) else (b.entries, a.entries)
     dot = sum(count * large.get(key, 0) for key, count in small.items())
@@ -345,3 +387,60 @@ class TestNgramCounting:
     def test_entropy_of_repeated_counts(self, counts):
         table = CountTable(1, {(str(i),): c for i, c in enumerate(counts)})
         assert lexstats.table_entropy(table) == old_table_entropy(table)
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_mask_matches_the_window_rule(self, n):
+        for mask in range(2 ** n):
+            window = tuple(BOUNDARY if mask >> i & 1 else f"w{i}" for i in range(n))
+            action = lexstats._mask_action(n, mask)
+            if action is None:
+                got = None
+            else:
+                left, right = action
+                got = (BOUNDARY,) * left + window[left:n - right] + (BOUNDARY,) * right
+            assert got == lexstats._postprocess_window(window), (n, bin(mask))
+            assert (action is lexstats._KEEP) == (got == window), (n, bin(mask))
+
+    @pytest.mark.parametrize("policy", ["raw", "postprocessed"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @settings(max_examples=200, deadline=None)
+    @given(secs=sections)
+    def test_serial_matches_distinct_key_counter(self, policy, n, secs):
+        table = lexstats.count_corpus_ngrams(secs, n, policy)
+        # insertion order included: keys the rule keeps stay where they were
+        expected = old_count_corpus_ngrams_by_key(secs, n, policy == "postprocessed")
+        assert list(table.entries.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("policy", ["raw", "postprocessed"])
+    @settings(max_examples=15, deadline=None)
+    @given(secs=sections, n=st.integers(1, 6))
+    def test_sharded_matches_distinct_key_counter(self, policy, n, secs):
+        table = lexstats.count_corpus_ngrams(secs, n, policy, processes=2)
+        expected = old_count_corpus_ngrams_by_key(secs, n, policy == "postprocessed", processes=2)
+        assert list(table.entries.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_rule_output_collision_matches_distinct_key_counter(self, processes):
+        secs = [[("a", "a"), ("a",), (), ("a", "a"), (), (), ()], [("a",), ()]]
+        table = lexstats.count_corpus_ngrams(secs, 6, "postprocessed", processes=processes)
+        assert table.entries == old_count_corpus_ngrams_by_key(secs, 6, True, processes)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("broken", [
+        {0b001: (2, 0)},  # marks the first two positions of "§ x y"
+        {0b010: lexstats._KEEP},  # keeps "x § y" as it is
+    ])
+    def test_center_check_sees_rule_output(self, monkeypatch, processes, broken):
+        # a broken table leaves a marker dead center, which the check must catch
+        monkeypatch.setitem(lexstats._RULES, 3, dict(broken))
+        secs = [[("a", "b"), ("c",)], [("d", "e"), ("f",)]]
+        with pytest.raises(AssertionError, match="boundary at center"):
+            lexstats.count_corpus_ngrams(secs, 3, "postprocessed", processes=processes)
+
+    def test_center_check_on_marked_keys(self):
+        lexstats._check_center(3, [(BOUNDARY, "a", "b"), ("a", "b", BOUNDARY)])
+        lexstats._check_center(4, [("a", BOUNDARY, BOUNDARY, "b")])
+        with pytest.raises(AssertionError):
+            lexstats._check_center(3, [("a", "b", BOUNDARY), ("a", BOUNDARY, "b")])

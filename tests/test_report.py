@@ -1,5 +1,6 @@
 """Comparison report assembly, canonical JSON and plot-data export."""
 
+import hashlib
 import json
 import math
 
@@ -167,6 +168,67 @@ class TestCompare:
         report.compare_corpora(DOCS, DOCS + EXTRA, conditions=["WB", "CN"], ngram_max_n=3, seed=0)
         # one A table and one B table per condition and n
         assert len(calls) == 2 * 2 * 3
+
+    def test_a_counted_once_per_processing(self, monkeypatch):
+        calls = []
+        real = lexstats.ngram_counts
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lexstats, "ngram_counts", counting)
+        report.compare_corpora(DOCS, DOCS + EXTRA, conditions=["CB", "WB"], ngram_max_n=3, seed=0)
+        # CB and WB process text alike: one A table per n, one B table per code and n
+        assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+    def test_blocks_of_a_shared_processing_are_not_aliased(self):
+        out = report.compare_corpora(DOCS, DOCS + EXTRA, conditions=["CB", "WB"], seed=0)
+        cb, wb = out["conditions"]["CB"]["a"], out["conditions"]["WB"]["a"]
+        assert cb == wb
+        cb["corpus_stats"]["chars_per_word"] = -1.0
+        cb["ngram_entropy_bits"]["1"] = -1.0
+        assert wb["corpus_stats"]["chars_per_word"] != -1.0
+        assert wb["ngram_entropy_bits"]["1"] != -1.0
+
+    @pytest.mark.parametrize("codes, digest", [
+        (["CB", "CB"], "a0665e61b5d1c23ff8c0eae54ae33400af3c28b7a7f5be3486720e6b7ae3b24c"),
+        (["WN", "CB", "CN"], "320a1d006fd9c164279921c2485f785d8e547621351890742bda28852f9dcc20"),
+        (["WNP", "CBP", "CB", "WBP", "CN", "WB", "CNP", "WN"],
+         "73ecff3332465bdd599b89b6e99735cf80ac43836bca957d90231de960619409"),
+    ])
+    def test_report_matches_one_code_at_a_time(self, codes, digest):
+        out = report.compare_corpora(DOCS, DOCS + EXTRA, conditions=codes, seed=0, ngram_max_n=4)
+        # SHA-256 of the report as written when each code was measured alone, A included
+        assert hashlib.sha256(report.render_json(out).encode()).hexdigest() == digest
+        alone = {
+            code: report.compare_corpora(DOCS, DOCS + EXTRA, conditions=[code], seed=0,
+                                         ngram_max_n=4)["conditions"][code]
+            for code in dict.fromkeys(codes)
+        }
+        assert list(out["conditions"]) == list(alone)
+        assert out["conditions"] == alone
+
+    @pytest.mark.parametrize("codes, named", [
+        (["WN", "CB", "CN"], "CB"),  # CN fails first in processing order, CB first in the caller's
+        (["WN", "CN", "CB"], "CN"),
+        (["CB", "XX", "CN"], "CB"),
+        (["WB", "XX", "CN"], "XX"),
+    ])
+    def test_earliest_failing_code_is_named(self, codes, named):
+        # A's long words against B's short ones: B holds more words than A but
+        # fewer characters, so every C code runs out of pool and no W code does
+        long_words = [doc(1, "Internationalization characteristically overcomplicates. "
+                             "Incomprehensibilities multiply.")]
+        short_words = [doc(2, "a b c d e f g h i j k l m n o p q r s t u v w x y z. a b c.")]
+        with pytest.raises(CorplexError, match=f"^condition {named}: "):
+            report.compare_corpora(long_words, short_words, conditions=codes, seed=0)
+
+    def test_error_at_n_names_earliest_code(self):
+        # A is one word and a period: stripped of the period, its only
+        # postprocessed trigram drops, so WN and CN fail at n = 3 and CB does not
+        with pytest.raises(CorplexError, match="^condition WN: cosine_angle needs two non-empty"):
+            report.compare_corpora([doc(4, "Hello.")], DOCS, conditions=["CB", "WN", "CN"], seed=0)
 
 
 class TestCorpusBlockFog:
