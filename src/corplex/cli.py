@@ -79,13 +79,8 @@ def _load_tagged(path: str, warnings: Counter):
 
 
 def _doc_sentence_groups(docs, cond, patterns) -> list:
-    """Condition-processed sentences, one group per document.
-
-    One LineCache serves every document, so a line or word type shared by
-    several documents is tokenized and stemmed once.
-    """
-    lines = sampling.LineCache(patterns)
-    return [lines.apply(sampling.doc_lines(doc), cond) for doc in docs]
+    """Condition-processed sentences, one group per document."""
+    return [sampling.apply_condition(sampling.doc_lines(doc), cond, patterns) for doc in docs]
 
 
 def _cmd_extract(args) -> int:

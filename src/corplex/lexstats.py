@@ -23,6 +23,7 @@ rather than per token.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 from collections import Counter, _count_elements
@@ -294,9 +295,24 @@ def _mask_action(n: int, mask: int):
     return left, right
 
 
-# n -> marker bitmask -> _mask_action(n, mask), filled as masks turn up: at
-# most 2**n entries per n, and only the masks real windows have
-_RULES: dict[int, dict[int, tuple[int, int] | None]] = {}
+class _MaskRules(dict):
+    """Marker bitmask -> _mask_action(n, mask) for one n, filled as masks turn up.
+
+    At most 2**n entries, and only the masks real windows have.  A lookup
+    here costs a plain dict hit; a functools.cache on _mask_action would
+    build and hash an (n, mask) tuple for every marked key.
+    """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, mask: int):
+        action = self[mask] = _mask_action(self.n, mask)
+        return action
+
+
+_mask_rules = functools.cache(_MaskRules)  # one table per n
 
 
 def _section_stream(sentences) -> list[str]:
@@ -317,9 +333,7 @@ def _count_sections(sections, n: int, postprocess: bool) -> dict[tuple[str, ...]
             # Python-level __eq__ would slow every comparison of tables
             _count_elements(counts, zip(*[stream[i:] for i in range(n)]))
     if postprocess:
-        rules = _RULES.get(n)
-        if rules is None:
-            rules = _RULES[n] = {}
+        rules = _mask_rules(n)
         marked_out: list[tuple[str, ...]] = []  # keys holding a marker after the rule
         moved: list[tuple[tuple[str, ...], int]] = []
         # a marked key the rule leaves as it is stays put.  Every other one
@@ -330,10 +344,7 @@ def _count_sections(sections, n: int, postprocess: bool) -> dict[tuple[str, ...]
             for i, sym in enumerate(key):
                 if sym == BOUNDARY:
                     mask |= 1 << i
-            try:
-                action = rules[mask]
-            except KeyError:
-                action = rules[mask] = _mask_action(n, mask)
+            action = rules[mask]
             if action is _KEEP:
                 marked_out.append(key)
             elif action is None:

@@ -434,7 +434,9 @@ class TestMaskTable:
     ])
     def test_center_check_sees_rule_output(self, monkeypatch, processes, broken):
         # a broken table leaves a marker dead center, which the check must catch
-        monkeypatch.setitem(lexstats._RULES, 3, dict(broken))
+        rules = {mask: lexstats._mask_action(3, mask) for mask in range(1, 8)}
+        rules.update(broken)
+        monkeypatch.setattr(lexstats, "_mask_rules", lambda n: rules)
         secs = [[("a", "b"), ("c",)], [("d", "e"), ("f",)]]
         with pytest.raises(AssertionError, match="boundary at center"):
             lexstats.count_corpus_ngrams(secs, 3, "postprocessed", processes=processes)
