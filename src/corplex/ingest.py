@@ -2,16 +2,17 @@
 
 strip_markup runs a battery of removal passes to a fixpoint, so its output
 is idempotent by construction: link anchors survive, templates, tables,
-refs, comments, and tag/entity noise do not.  Dump parsing is streaming —
-memory is bounded by one <page> element, and a concatenation of dumps
-parses as the concatenation of their pages.
+refs, comments, and tag/entity noise do not.  A pass repeats only while a
+cheap check finds something left to strip, so most pages take one pass.
+Dump parsing is streaming — memory is bounded by one <page> element, and a
+concatenation of dumps parses as the concatenation of their pages.
 
 Everything here runs in time linear in its input: the page chunker reads
 each byte once and joins a page's blocks once, and every markup pass is a
 single forward scan (no pattern can backtrack over the rest of the text),
 so one malformed or vandalised page cannot stall a dump.  The fixpoint is
-capped at 100 passes, each linear, and hitting the cap is counted as the
-``markup_fixpoint_cap`` warning.
+capped at 100 passes, each linear, and text that changed in all 100 is
+counted as the ``markup_fixpoint_cap`` warning.
 """
 
 from __future__ import annotations
@@ -43,16 +44,23 @@ class RevisionRecord(NamedTuple):
 
 _REF_OPEN_RE = re.compile(r"<ref\b([^<>]*)([<>]|\Z)", re.IGNORECASE)
 _REF_CLOSE_RE = re.compile(r"</ref\s*>", re.IGNORECASE)
-_HEADING_RE = re.compile(r"^[ \t]*=[^\n]*=[ \t]*$", re.MULTILINE)
-_LIST_RE = re.compile(r"^[ \t]*[*#;:]+[ \t]*", re.MULTILINE)
-_HR_RE = re.compile(r"^-{4,}[ \t]*$", re.MULTILINE)
+# the line-start scanners run over "\n" + text: a literal "\n" is searched
+# for at C speed, where a MULTILINE "^" is tried at every position
+_HEADING_RE = re.compile(r"\n[ \t]*(=[^\n]*=)[ \t]*(?=\n|\Z)")
+_LIST_RE = re.compile(r"\n[ \t]*[*#;:]+[ \t]*")
+_HR_RE = re.compile(r"\n-{4,}[ \t]*(?=\n|\Z)")
+# a line after the first that one of them may act on, in normalised text
+_LINE_MARKUP_RE = re.compile(r"\n(?:[*#;:=]|----)")
 _LINK_RE = re.compile(r"\[\[([^\[\]]*)\]\]")
 _EXT_OPEN_RE = re.compile(r"\[(?:https?|ftp)://", re.IGNORECASE)
 _URL_RE = re.compile(r"[^\s\]]*")
 _TAG_RE = re.compile(r"</?[A-Za-z][^<>]*>")
 _MAGIC_RE = re.compile(r"__[A-Z]+__")
-_QUOTES_RE = re.compile(r"'{2,}")
+_QUOTES_RE = re.compile(r"''+")
 _ENTITY_RE = re.compile(r"&(#[0-9]+|#x[0-9A-Fa-f]+|[A-Za-z][A-Za-z0-9]*);")
+# whitespace runs, each pattern led by a literal that re searches for in C
+_SPACE_RUN_RE = re.compile(r"  +")
+_BLANK_LINES_RE = re.compile(r"\n\n\n+")
 
 _DROP_LINK_PREFIXES = {"category", "file", "image", "media"}
 
@@ -259,7 +267,14 @@ def _resolve_external_links(s: str) -> str:
 
 def _heading_repl(m: re.Match) -> str:
     # "== Title ==" keeps "Title"; a line of "=" alone keeps nothing
-    return m.group(0).strip(" \t").strip("=").strip(" \t")
+    return "\n" + m.group(1).strip("=").strip(" \t")
+
+
+def _strip_line_markup(s: str) -> str:
+    """Reduce heading lines to their titles and drop list markers and rules."""
+    s = _HEADING_RE.sub(_heading_repl, "\n" + s)
+    s = _LIST_RE.sub("\n", s)
+    return _HR_RE.sub("\n", s)[1:]
 
 
 def _decode_entities(s: str) -> str:
@@ -291,10 +306,12 @@ def count_unknown_entities(s: str, warnings: Counter | None = None) -> int:
 
 
 def _normalize_whitespace(s: str) -> str:
-    # runs first, so each line has at most one space to trim at either end
-    s = re.sub(r"[ \t]+", " ", s)
-    s = "\n".join([line.strip(" ") for line in s.split("\n")])
-    s = re.sub(r"\n{3,}", "\n\n", s)
+    # runs of spaces and tabs become one space first, so each line has at
+    # most one space to trim at either end
+    s = _SPACE_RUN_RE.sub(" ", s.replace("\t", " "))
+    s = s.replace(" \n", "\n").replace("\n ", "\n")
+    if "\n\n\n" in s:
+        s = _BLANK_LINES_RE.sub("\n\n", s)
     return s.strip()
 
 
@@ -305,9 +322,7 @@ def _strip_pass(s: str, max_depth: int) -> str:
     s = _remove_params(s)
     s = _remove_braced(s, "{{", "}}", max_depth)
     s = _remove_braced(s, "{|", "|}", None)
-    s = _HEADING_RE.sub(_heading_repl, s)
-    s = _LIST_RE.sub("", s)
-    s = _HR_RE.sub("", s)
+    s = _strip_line_markup(s)
     s = _resolve_internal_links(s)
     s = _resolve_external_links(s)
     s = _TAG_RE.sub("", s)
@@ -319,17 +334,58 @@ def _strip_pass(s: str, max_depth: int) -> str:
     return _normalize_whitespace(s)
 
 
+def _may_change(s: str) -> bool:
+    """False only when _strip_pass(s) would return s unchanged.
+
+    Each scanner of the pass leaves a text alone unless it holds that
+    scanner's trigger, so this looks for every trigger.  Whitespace the pass
+    would normalise counts too, and without it every line starts with its
+    first non-blank character, so the line-start scanners need look only
+    right after a "\n".  A marker is looked for only once a character of
+    it is found: a one-character search is the fastest in C, and stripped
+    text rarely holds "{", "}", "[", "]", "<", "'", "&" or "_".
+    """
+    if not s:
+        return False
+    return (
+        s[0].isspace()
+        or s[-1].isspace()
+        or "\t" in s
+        or "  " in s
+        or " \n" in s
+        or "\n " in s
+        or "\n\n\n" in s
+        or "\r" in s
+        or ("{" in s and ("{{" in s or "{|" in s))
+        or ("}" in s and ("}}" in s or "|}" in s))
+        or ("[" in s and ("[[" in s or _EXT_OPEN_RE.search(s) is not None))
+        or ("]" in s and "]]" in s)
+        # a <ref> the pass removes is a tag too
+        or ("<" in s and ("<!--" in s or _TAG_RE.search(s) is not None))
+        or ("'" in s and "''" in s)
+        or ("&" in s and _ENTITY_RE.search(s) is not None)
+        or ("_" in s and _MAGIC_RE.search(s) is not None)
+        or s[0] in "*#;:="
+        or s.startswith("----")
+        or _LINE_MARKUP_RE.search(s) is not None
+    )
+
+
 def strip_markup(raw: str, max_depth: int = 16, warnings: Counter | None = None) -> str:
     """Reduce wikitext to plain text, keeping link anchor texts.
 
-    Passes repeat until nothing changes, so markup revealed by an earlier
-    removal (or by entity decoding) is cleaned up too.  Unknown entity names
-    survive literally and are counted once against the final text.  Text
-    still changing after _MAX_PASSES passes is returned as it stands and
-    counted as a ``markup_fixpoint_cap`` warning.
+    Passes repeat while a cheap check (_may_change) finds something left to
+    strip and the last pass changed the text, so markup revealed by an
+    earlier removal (or by entity decoding) is cleaned up too, and clean
+    text costs no confirming pass.  Unknown entity names survive literally
+    and are counted once against the final text.  Text that changed in each
+    of _MAX_PASSES passes is returned as it stands and counted as a
+    ``markup_fixpoint_cap`` warning, whether or not it would change again.
     """
     s = raw
     for _ in range(_MAX_PASSES):
+        if not _may_change(s):
+            break  # the pass would return s: s is the fixpoint
         new = _strip_pass(s, max_depth)
         if new == s:
             break

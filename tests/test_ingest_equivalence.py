@@ -4,11 +4,16 @@ Each oracle below is the earlier implementation, copied verbatim: the
 backtracking regexes for comments, refs, headings, internal and external
 links and trailing whitespace, the repeat-until-unchanged loops for template
 parameters and links, the re-scanning brace remover and the page chunker that
-re-copied its buffer per block.  The new code must give identical output,
-including which MarkupError or ParseError is raised and where.  The oracles
-are superlinear, so inputs stay at a few KB.
+re-copied its buffer per block.  The regexes and entity decoder the oracle
+pass shares with the live code are frozen here too, so the oracle cannot move
+with the code.  The new code must give identical output, including which
+MarkupError or ParseError is raised and where.  The oracles are superlinear,
+so inputs stay at a few KB.  The oracle strip_markup confirms its fixpoint
+with one more pass; the live one skips that pass when ingest._may_change
+proves it would change nothing, and a property test checks that proof.
 """
 
+import html.entities
 import io
 import re
 from collections import Counter
@@ -28,6 +33,14 @@ _PARAM_RE = re.compile(r"\{\{\{[^{}]*\}\}\}")
 _HEADING_RE = re.compile(r"^[ \t]*=+[ \t]*(.*?)[ \t]*=+[ \t]*$", re.MULTILINE)
 _LINK_RE = re.compile(r"\[\[([^\[\]]*)\]\]")
 _EXT_LINK_RE = re.compile(r"\[(?:https?|ftp)://[^\s\]]*(?:[ \t]+([^\]]*))?\]", re.IGNORECASE)
+_LIST_RE = re.compile(r"^[ \t]*[*#;:]+[ \t]*", re.MULTILINE)
+_HR_RE = re.compile(r"^-{4,}[ \t]*$", re.MULTILINE)
+_TAG_RE = re.compile(r"</?[A-Za-z][^<>]*>")
+_MAGIC_RE = re.compile(r"__[A-Z]+__")
+_QUOTES_RE = re.compile(r"'{2,}")
+_ENTITY_RE = re.compile(r"&(#[0-9]+|#x[0-9A-Fa-f]+|[A-Za-z][A-Za-z0-9]*);")
+_NAMED_ENTITIES = dict(html.entities.name2codepoint)
+_NAMED_ENTITIES["apos"] = 0x27
 
 
 def old_remove_comments(s):
@@ -105,6 +118,23 @@ def old_resolve_external_links(s):
     return _EXT_LINK_RE.sub(_ext_link_repl, s)
 
 
+def old_decode_entities(s):
+    def repl(m):
+        name = m.group(1)
+        if name.startswith("#"):
+            try:
+                code = int(name[2:], 16) if name[1] in "xX" else int(name[1:])
+                if 0 < code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+                    return chr(code)
+            except ValueError:
+                pass
+            return m.group(0)
+        code = _NAMED_ENTITIES.get(name)
+        return chr(code) if code is not None else m.group(0)
+
+    return _ENTITY_RE.sub(repl, s)
+
+
 def old_normalize_whitespace(s):
     s = re.sub(r"[ \t]+$", "", s, flags=re.MULTILINE)
     s = re.sub(r"^[ \t]+", "", s, flags=re.MULTILINE)
@@ -121,16 +151,16 @@ def old_strip_pass(s, max_depth):
     s = old_remove_braced(s, "{{", "}}", max_depth)
     s = old_remove_braced(s, "{|", "|}", None)
     s = old_headings(s)
-    s = ingest._LIST_RE.sub("", s)
-    s = ingest._HR_RE.sub("", s)
+    s = _LIST_RE.sub("", s)
+    s = _HR_RE.sub("", s)
     s = old_resolve_internal_links(s)
     s = old_resolve_external_links(s)
-    s = ingest._TAG_RE.sub("", s)
-    s = ingest._MAGIC_RE.sub("", s)
-    s = ingest._QUOTES_RE.sub("", s)
+    s = _TAG_RE.sub("", s)
+    s = _MAGIC_RE.sub("", s)
+    s = _QUOTES_RE.sub("", s)
     for stray in ("[[", "]]", "{{", "}}", "{|", "|}"):
         s = s.replace(stray, "")
-    s = ingest._decode_entities(s)
+    s = old_decode_entities(s)
     return old_normalize_whitespace(s)
 
 
@@ -188,6 +218,25 @@ def markup_lines():
     return st.lists(soup(MARKUP_TOKENS, 24), max_size=40).map("\n".join)
 
 
+# one token for every trigger ingest._may_change looks for
+TRIGGER_TOKENS = [
+    "&amp;", "&lt;", "&zorp;", "&#38;", "__X__", "''", "----", "* ", "=", "\r", "<b>",
+    "<ref name=a/>", "[http://x y]",
+]
+EDGE_WHITESPACE = ["", "\xa0", "\v", "\t"]
+SOUPS = [COMMENT_TOKENS, REF_TOKENS, BRACE_TOKENS, HEADING_TOKENS, LINK_TOKENS, EXT_TOKENS,
+         WS_TOKENS, MARKUP_TOKENS, sorted(set(WS_TOKENS + TRIGGER_TOKENS))]
+
+
+def pass_inputs():
+    """Lines of one soup, with a whitespace character or none at either end."""
+    lines = st.sampled_from(SOUPS).flatmap(
+        lambda tokens: st.lists(soup(tokens, 24), max_size=20).map("\n".join)
+    )
+    edge = st.sampled_from(EDGE_WHITESPACE)
+    return st.tuples(edge, lines, edge).map("".join)
+
+
 class TestScannersMatchOracle:
     @given(soup(COMMENT_TOKENS, 200))
     @settings(max_examples=400, deadline=None)
@@ -213,7 +262,7 @@ class TestScannersMatchOracle:
     @given(st.lists(soup(HEADING_TOKENS, 30), max_size=20).map("\n".join))
     @settings(max_examples=400, deadline=None)
     def test_headings(self, s):
-        assert ingest._HEADING_RE.sub(ingest._heading_repl, s) == old_headings(s)
+        assert ingest._HEADING_RE.sub(ingest._heading_repl, "\n" + s)[1:] == old_headings(s)
 
     @given(soup(LINK_TOKENS, 200))
     @settings(max_examples=400, deadline=None)
@@ -270,6 +319,38 @@ class TestStripMarkupMatchesOracle:
         assert outcome(ingest.strip_markup, raw) == outcome(old_strip_markup, raw)
 
 
+class TestFixpointProof:
+    @given(pass_inputs())
+    @settings(max_examples=1000, deadline=None)
+    def test_no_trigger_means_no_change(self, raw):
+        # stripped text rarely holds a trigger, so the pass's output is
+        # where the proof is used and is tested most
+        texts = [raw]
+        try:
+            texts.append(ingest._strip_pass(raw, 16))
+        except MarkupError:
+            pass
+        for s in texts:
+            if not ingest._may_change(s):
+                assert ingest._strip_pass(s, 16) == s
+
+    @pytest.mark.parametrize("s", ["", "plain words.", "two\n\nparagraphs", "a - b", "x=y", "a*b"])
+    def test_clean_text_is_proved(self, s):
+        assert not ingest._may_change(s)
+        assert ingest._strip_pass(s, 16) == s
+
+    @pytest.mark.parametrize(
+        "s",
+        ["tab\tx", "a  b", "a \nb", "a\n b", "a\n\n\nb", " a", "a\xa0", "\va", "=a=", "a\n*b",
+         "----", "a\n----", "&amp;", "<b>x", "<ref name=a/>x", "[http://x y]", "__NOTOC__",
+         "''a''", "a\rb", "[[a", "a]]", "{{a", "a}}", "{|", "|}", "<!--"],
+    )
+    def test_each_trigger_is_seen(self, s):
+        # the pass changes each of these, so a missed trigger breaks the proof
+        assert ingest._strip_pass(s, 16) != s
+        assert ingest._may_change(s)
+
+
 class TestFixpointCap:
     def test_cap_is_counted(self):
         # each pass decodes one level of "&amp;", so 150 levels outlast the cap
@@ -284,6 +365,16 @@ class TestFixpointCap:
         warnings = Counter()
         ingest.strip_markup("x &amp;" + "amp;" * 50, warnings=warnings)
         assert "markup_fixpoint_cap" not in warnings
+
+    @pytest.mark.parametrize("k, out, capped", [(99, "x", 0), (100, "x", 1), (101, "x <b>", 1)])
+    def test_cap_on_nested_tags(self, k, out, capped):
+        # each pass removes the innermost "<b>".  At k = 100 the last change
+        # comes in the 100th pass: the text is a fixpoint then, but the cap
+        # still counts it, as it counts every text that changed in every pass
+        raw = "x " + "<" * k + "b>" * k
+        warnings = Counter()
+        assert ingest.strip_markup(raw, warnings=warnings) == out == old_strip_markup(raw)
+        assert warnings["markup_fixpoint_cap"] == capped
 
 
 # ---------------------------------------------------------------------------

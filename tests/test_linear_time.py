@@ -65,7 +65,11 @@ STRIP_SHAPES = {
     "nested internal links": lambda n: "[[" * (n // 4) + "a" + "]]" * (n // 4),
     "nested template parameters": lambda n: "{{{" * (n // 6) + "}}}" * (n // 6),
     "unclosed internal links": repeated("[[a|b "),
+    # "amp;" * k + " &amp;": one entity after the run, not a chain to decode
     "entity chain": repeated("amp;", " &amp;"),
+    # each pass peels one level, so both run all 100 capped passes
+    "real entity chain": lambda n: "x &" + "amp;" * (n // 4),
+    "nested tags": lambda n: "x " + "<" * (n // 4) + "b>" * (n // 4),
 }
 
 
