@@ -1,15 +1,14 @@
 """Revert detection and the edit-war controversy score for one page history.
 
-A revert is an edit whose text is byte-identical (MD5 over the exact bytes)
-to some earlier, non-adjacent revision; the adjacent-duplicate case is a
-null edit, not a revert.  The score multiplies the distinct-editor count by
-the summed weights of mutually reverting editor pairs, after dropping the
-single heaviest pair.
+A revert is an edit whose text is identical (exact text equality) to some
+earlier, non-adjacent revision; the adjacent-duplicate case is a null edit,
+not a revert.  A bytes text equals the str it decodes to as UTF-8.  The
+score multiplies the distinct-editor count by the summed weights of mutually
+reverting editor pairs, after dropping the single heaviest pair.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -30,16 +29,11 @@ class ControversyScore(NamedTuple):
     events: tuple[RevertEvent, ...]
 
 
-def _text_hash(raw_text) -> str:
-    data = raw_text if isinstance(raw_text, bytes) else raw_text.encode("utf-8")
-    return hashlib.md5(data).hexdigest()
-
-
 def detect_reverts(history: Sequence, match_policy: str = "latest") -> list[RevertEvent]:
     """Find all reverts in an ordered history.
 
     Revision k reverts iff an earlier revision i < k-1 carries an identical
-    hash; match_policy picks the restored revision among several matches
+    text; match_policy picks the restored revision among several matches
     (latest by default).  The reverted editor is the author of revision k-1,
     the edit the revert directly undoes.  Self-reverts are returned flagged,
     so scoring can ignore them without losing the record.
@@ -51,12 +45,18 @@ def detect_reverts(history: Sequence, match_policy: str = "latest") -> list[Reve
         if cur.rev_index <= prev.rev_index:
             raise ValueError("history is not sorted by rev_index")
     events: list[RevertEvent] = []
-    # per hash: the first position and the last two, which is all that
-    # "latest" and "earliest" need, since only pos - 1 is ever excluded
-    seen: dict[str, tuple[int, int | None, int]] = {}
+    # per text: the first position and the last two, which is all that
+    # "latest" and "earliest" need, since only pos - 1 is ever excluded.
+    # Keyed on the texts themselves, not copies; a str caches its hash.
+    seen: dict[str | bytes, tuple[int, int | None, int]] = {}
     for pos, rev in enumerate(history):
-        digest = _text_hash(rev.raw_text)
-        prior = seen.get(digest)
+        text = rev.raw_text
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError:
+                pass  # no str encodes to it, so it keys as itself
+        prior = seen.get(text)
         i = None
         if prior is not None:
             first, second_last, last = prior
@@ -75,7 +75,7 @@ def detect_reverts(history: Sequence, match_policy: str = "latest") -> list[Reve
                     self_revert=rev.editor == reverted,
                 )
             )
-        seen[digest] = (pos, None, pos) if prior is None else (prior[0], prior[2], pos)
+        seen[text] = (pos, None, pos) if prior is None else (prior[0], prior[2], pos)
     return events
 
 

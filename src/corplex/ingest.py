@@ -5,10 +5,12 @@ is idempotent by construction: link anchors survive, templates, tables,
 refs, comments, and tag/entity noise do not.  A pass repeats only while a
 cheap check finds something left to strip, so most pages take one pass.
 Dump parsing is streaming — memory is bounded by one <page> element, and a
-concatenation of dumps parses as the concatenation of their pages.
+concatenation of dumps parses as the concatenation of their pages.  A page's
+bytes are held once: the parser is fed its blocks as the chunker read them,
+and drops each block once fed.
 
 Everything here runs in time linear in its input: the page chunker reads
-each byte once and joins a page's blocks once, and every markup pass is a
+each byte once and never joins a page's blocks, and every markup pass is a
 single forward scan (no pattern can backtrack over the rest of the text),
 so one malformed or vandalised page cannot stall a dump.  The fixpoint is
 capped at 100 passes, each linear, and text that changed in all 100 is
@@ -328,8 +330,14 @@ def _strip_pass(s: str, max_depth: int) -> str:
     s = _TAG_RE.sub("", s)
     s = _MAGIC_RE.sub("", s)
     s = _QUOTES_RE.sub("", s)
-    for stray in ("[[", "]]", "{{", "}}", "{|", "|}"):
-        s = s.replace(stray, "")
+    # stray markers, in this order.  Removal adds no character, so a marker
+    # whose first or last character is missing cannot be there, and the
+    # one-character search runs many times faster than a two-character one
+    for guard, stray in (
+        ("[", "[["), ("]", "]]"), ("{", "{{"), ("}", "}}"), ("{", "{|"), ("}", "|}")
+    ):
+        if guard in s:
+            s = s.replace(stray, "")
     s = _decode_entities(s)
     return _normalize_whitespace(s)
 
@@ -405,14 +413,16 @@ _OPEN_TAG = b"<page>"
 _CLOSE_TAG = b"</page>"
 
 
-def _iter_page_chunks(stream: IO[bytes]) -> Iterator[tuple[bytes, int]]:
-    """Yield (page bytes, absolute offset) per <page>...</page> element.
+def _iter_page_chunks(stream: IO[bytes]) -> Iterator[tuple[list[bytes], int]]:
+    """Yield (page parts, absolute offset) per <page>...</page> element.
 
-    Memory stays bounded by one page; anything between pages (headers,
-    siteinfo, a second dump's preamble) is skipped, so concatenated dumps
-    chunk exactly like the dumps chunked separately.  A page spanning many
-    blocks keeps them in a list, each new block is searched once (with the
-    seam it makes with the last one), and the page is joined once.
+    The parts are non-empty and join to the page's bytes; a page within one
+    block is a one-part list.  Memory stays bounded by one page; anything
+    between pages (headers, siteinfo, a second dump's preamble) is skipped,
+    so concatenated dumps chunk exactly like the dumps chunked separately.
+    A page spanning many blocks keeps them in a list, and each new block is
+    searched once (with the seam it makes with the last one).  The list is
+    yielded as it stands, never joined.
     """
     seam = len(_CLOSE_TAG) - 1  # bytes of a tag that can precede a block
     buf = b""  # bytes not yet searched for <page>
@@ -437,9 +447,8 @@ def _iter_page_chunks(stream: IO[bytes]) -> Iterator[tuple[bytes, int]]:
                     continue
                 stop = found + len(_CLOSE_TAG)
             page.append(block[:stop])
-            chunk = b"".join(page)
+            yield page, page_at
             page = []
-            yield chunk, page_at
             buf = block[stop:]
             base += stop
         else:
@@ -467,14 +476,24 @@ def _iter_page_chunks(stream: IO[bytes]) -> Iterator[tuple[bytes, int]]:
                 buf = b""
                 break
             pos = end + len(_CLOSE_TAG)
-            yield buf[start:pos], base + start
+            yield [buf[start:pos]], base + start
         if not block:
             return
 
 
-def _parse_page_chunk(chunk: bytes, offset: int) -> ET.Element:
+def _parse_page_chunk(parts: list[bytes], offset: int) -> ET.Element:
+    """Parse a page from its parts, emptying the list as the parser takes them.
+
+    Each part is freed once fed, so the bytes not yet parsed and the tree
+    built so far add up to about one copy of the page.  The parser reports
+    the same errors, at the same lines and columns, as for the joined bytes.
+    """
+    parser = ET.XMLParser()
+    parts.reverse()
     try:
-        return ET.fromstring(chunk)
+        while parts:
+            parser.feed(parts.pop())
+        return parser.close()
     except ET.ParseError as exc:
         raise ParseError(f"malformed page XML: {exc}", location=f"byte {offset}") from None
 
@@ -489,6 +508,25 @@ def _parse_timestamp(text: str | None):
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _editor(rev: ET.Element) -> str:
+    """The stripped findtext("contributor/username"), else that of "contributor/ip".
+
+    Both paths would go through ElementPath in Python; findall and findtext
+    on a plain tag scan the direct children in C.  Like findtext, this reads
+    only the first username (or ip) among all the contributors.
+    """
+    contributors = rev.findall("contributor")
+    for tag in ("username", "ip"):
+        for contributor in contributors:
+            text = contributor.findtext(tag)
+            if text is not None:
+                text = text.strip()
+                if text:
+                    return text
+                break
+    return ""
 
 
 def parse_article_dump(
@@ -561,10 +599,7 @@ def parse_revision_dump(
                     warnings["missing_timestamp"] += 1
                     ts = last_ts
                 last_ts = ts
-                editor = (
-                    (rev.findtext("contributor/username") or "").strip()
-                    or (rev.findtext("contributor/ip") or "").strip()
-                )
+                editor = _editor(rev)
                 if not editor:
                     editor = "UNKNOWN"
                     warnings["missing_contributor"] += 1

@@ -18,7 +18,15 @@ from .lexstats import BOUNDARY  # noqa: F401  (re-exported for report consumers)
 from .textpipe import Sentence, type_counts
 
 
+_AS_IS = frozenset({str, int, bool, type(None)})
+
+
 def _round6(value):
+    # one type() lookup passes the exact leaf types that need no rounding;
+    # everything else, float subclasses such as numpy.float64 included,
+    # takes the isinstance chain
+    if type(value) in _AS_IS:
+        return value
     if isinstance(value, float):
         return float(f"{value:.6g}")
     if isinstance(value, dict):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import namedtuple
 
@@ -210,3 +211,65 @@ class TestDetectRevertsMatchesOracle:
         # repeats of the previous text are null edits, never their own match
         h = history(("A", "x"), ("B", "x"), ("C", "x"), ("D", "y"), ("A", "x"), ("B", "x"))
         assert [tuple(e) for e in detect_reverts(h, policy)] == old_detect_reverts(h, policy)
+
+
+def md5_detect_reverts(history, match_policy):
+    """detect_reverts as it was: its texts keyed by the MD5 of their UTF-8 bytes."""
+    def text_hash(raw_text):
+        data = raw_text if isinstance(raw_text, bytes) else raw_text.encode("utf-8")
+        return hashlib.md5(data).hexdigest()
+
+    events = []
+    seen = {}
+    for pos, rev in enumerate(history):
+        digest = text_hash(rev.raw_text)
+        prior = seen.get(digest)
+        i = None
+        if prior is not None:
+            first, second_last, last = prior
+            if match_policy == "latest":
+                i = last if last < pos - 1 else second_last
+            elif first < pos - 1:
+                i = first
+        if i is not None:
+            reverted = history[pos - 1].editor
+            events.append(
+                (history[i].rev_index, rev.rev_index, rev.editor, reverted, rev.editor == reverted)
+            )
+        seen[digest] = (pos, None, pos) if prior is None else (prior[0], prior[2], pos)
+    return events
+
+
+# str texts, their UTF-8 bytes, and bytes that are not UTF-8 (a lone
+# continuation byte, a cut sequence, a Latin-1 byte, an encoded surrogate)
+STR_TEXTS = ["x", "y", "", "caf\u00e9", "\u00e9", "\U0001f600", "caf"]
+MIXED_TEXTS = STR_TEXTS + [t.encode("utf-8") for t in STR_TEXTS] + [
+    b"\x80", b"caf\xc3", b"caf\xe9", b"\xed\xa0\x80", b"\xff\xfe",
+]
+
+
+class TestRevertsMatchMd5Rule:
+    @given(
+        st.lists(st.tuples(st.sampled_from("ABC"), st.sampled_from(MIXED_TEXTS)), max_size=60),
+        st.sampled_from(["latest", "earliest"]),
+    )
+    @settings(max_examples=600)
+    def test_mixed_str_and_bytes(self, specs, policy):
+        h = history(*specs)
+        assert [tuple(e) for e in detect_reverts(h, policy)] == md5_detect_reverts(h, policy)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("ABC"), st.one_of(st.text(max_size=3), st.binary(max_size=2))),
+            max_size=40,
+        ),
+        st.sampled_from(["latest", "earliest"]),
+    )
+    @settings(max_examples=400)
+    def test_arbitrary_texts(self, specs, policy):
+        h = history(*specs)
+        assert [tuple(e) for e in detect_reverts(h, policy)] == md5_detect_reverts(h, policy)
+
+    def test_invalid_utf8_matches_only_itself(self):
+        h = history(("A", b"caf\xe9"), ("B", "x"), ("C", "caf\u00e9"), ("D", b"caf\xe9"))
+        assert [(e.restored_rev, e.reverting_rev) for e in detect_reverts(h)] == [(0, 3)]

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -301,3 +302,28 @@ class TestRevisionDump:
 
     def test_empty_stream(self):
         assert list(parse_revision_dump(io.BytesIO(b""))) == []
+
+
+class TestRevisionDumpMemory:
+    def test_one_large_page_is_held_once(self):
+        # about 3,000 revisions of 1.4 KB in one page: parsing holds the
+        # page's bytes once (each block freed as the parser takes it) plus
+        # the texts; a joined copy of the page alone would add 1x more
+        words = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
+        revisions = [
+            f"<revision><timestamp>2010-01-01T00:{k // 60 % 60:02d}:{k % 60:02d}Z</timestamp>"
+            f"<contributor><username>User{k % 7}</username></contributor><text>"
+            + " ".join(f"{words[(k + j) % 10]}{k}" for j in range(140))[:1400]
+            + "</text></revision>"
+            for k in range(3000)
+        ]
+        page = f"<page><title>Big</title><id>1</id>{''.join(revisions)}</page>".encode()
+        dump = io.BytesIO(b"<mediawiki>" + page + b"</mediawiki>")
+        tracemalloc.start()
+        try:
+            [(page_id, history)] = parse_revision_dump(dump)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert page_id == "1" and len(history) == 3000
+        assert peak <= 2.5 * len(page), f"peak {peak / len(page):.2f}x the page's {len(page)} bytes"

@@ -88,6 +88,11 @@ def test_chunker_doubling_on_one_large_page():
 
     ratio, n = doubling_ratio(make, chunk, 1 << 20, floor=0.003, limit=1 << 23)
     assert ratio <= MAX_RATIO, f"{n} -> {2 * n} byte page cost x{ratio:.2f}"
+    # the page comes as its parts, none empty, which join to its bytes
+    data = make(2 * n)
+    [(parts, offset)] = chunk(data)
+    assert all(parts), "empty page part"
+    assert (b"".join(parts), offset) == (data[11:-12], 11)
 
 
 Rev = namedtuple("Rev", "page_id rev_index timestamp editor raw_text")

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
+from collections import Counter, OrderedDict, namedtuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corplex import lexstats, posstats, readability, report
 from corplex.errors import CorplexError
@@ -50,6 +53,69 @@ class TestRenderJson:
 
     def test_trailing_newline(self):
         assert report.render_json({}).endswith("\n")
+
+
+def old_round6(value):
+    """render_json's rounding as it was: an isinstance chain at every node."""
+    if isinstance(value, float):
+        return float(f"{value:.6g}")
+    if isinstance(value, dict):
+        return {k: old_round6(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [old_round6(v) for v in value]
+    return value
+
+
+def old_render_json(payload):
+    return json.dumps(old_round6(payload), sort_keys=True, ensure_ascii=False) + "\n"
+
+
+class Weight(float):
+    pass
+
+
+class Label(str):
+    pass
+
+
+Pair = namedtuple("Pair", "x y")
+
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.text(max_size=4).map(Label), st.floats(), st.floats().map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False).map(Weight),
+)
+KEYS = st.text(max_size=3)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.tuples(inner, inner).map(lambda t: Pair(*t)),
+        st.dictionaries(KEYS, inner, max_size=4),
+        st.dictionaries(KEYS, inner, max_size=4).map(Counter),
+        st.dictionaries(KEYS, inner, max_size=4).map(OrderedDict),
+    ),
+    max_leaves=30,
+)
+
+
+class TestRenderJsonMatchesOracle:
+    @given(PAYLOADS)
+    @settings(max_examples=500, deadline=None)
+    def test_mixed_payloads(self, payload):
+        assert report.render_json(payload) == old_render_json(payload)
+
+    def test_float_subclasses_and_containers(self):
+        payload = {
+            "np": np.float64(1 / 3), "sub": Weight(2 / 3), "nan": math.nan,
+            "np_nan": np.float64("nan"), "inf": -math.inf, "flags": (True, False, None),
+            "nested": ((1.23456789, [np.float64(9.87654321)]),),
+            "counter": Counter({"a": 0.1234567, "b": 3}), "pair": Pair(0.5555555, Label("x")),
+        }
+        out = report.render_json(payload)
+        assert out == old_render_json(payload)
+        assert '"np": 0.333333' in out and '"sub": 0.666667' in out and '"nan": NaN' in out
 
 
 class TestConditionSeed:
