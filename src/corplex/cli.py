@@ -7,12 +7,13 @@ to stdout (or --output), diagnostics and warning tallies to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections import Counter
 
 from . import __version__, lexstats, posstats, readability, report, sampling
 from .errors import CorplexError
-from .ingest import docs_to_jsonl, parse_article_dump, parse_revision_dump
+from .ingest import docs_to_jsonl, parse_article_dump, parse_revision_dump, utf8_lines
 from .controversy import controversy_m
 
 
@@ -49,33 +50,41 @@ def _print_warnings(warnings: Counter) -> None:
         print(f"warning: {name} x{warnings[name]}", file=sys.stderr)
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_output(path: str):
+    """A text stream to write path to; "-" is stdout, left open."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_text(path: str, text: str) -> None:
+    with _open_output(path) as out:
+        out.write(text)
 
 
 def _write_lines(path: str, lines) -> None:
     _write_text(path, "".join(line + "\n" for line in lines))
 
 
+def _input(path: str):
+    """path, or for "-" stdin's bytes, which the readers decode themselves."""
+    if path != "-":
+        return path
+    return getattr(sys.stdin, "buffer", sys.stdin)  # a replaced stdin may be text
+
+
 def _load_docs(path: str, warnings: Counter) -> list:
-    source = sys.stdin if path == "-" else path
-    return list(parse_article_dump(source, format="jsonl", warnings=warnings))
+    return list(parse_article_dump(_input(path), format="jsonl", warnings=warnings))
 
 
 def _load_patterns(path: str | None) -> list[str]:
     if not path:
         return []
-    with open(path, encoding="utf-8") as fp:
-        return [line.rstrip("\n") for line in fp if line.strip()]
+    return [line.rstrip("\n") for line in utf8_lines(path) if line.strip()]
 
 
 def _load_tagged(path: str, warnings: Counter):
-    with open(path, encoding="utf-8") as fp:
-        return posstats.parse_tagged(fp, warnings)
+    return posstats.parse_tagged(utf8_lines(path), warnings)
 
 
 def _doc_sentence_groups(docs, cond, patterns) -> list:
@@ -85,17 +94,14 @@ def _doc_sentence_groups(docs, cond, patterns) -> list:
 
 def _cmd_extract(args) -> int:
     warnings: Counter = Counter()
-    source = sys.stdin.buffer if args.input == "-" and args.format != "jsonl" else (
-        sys.stdin if args.input == "-" else args.input
-    )
     docs = parse_article_dump(
-        source, format=args.format, skip_redirects=not args.keep_redirects, warnings=warnings
+        _input(args.input),
+        format=args.format,
+        skip_redirects=not args.keep_redirects,
+        warnings=warnings,
     )
-    if args.output == "-":
-        docs_to_jsonl(docs, sys.stdout)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fp:
-            docs_to_jsonl(docs, fp)
+    with _open_output(args.output) as out:
+        docs_to_jsonl(docs, out)
     _print_warnings(warnings)
     return 0
 
@@ -250,43 +256,53 @@ def _cmd_fog(args) -> int:
     return 0
 
 
+def _conflict_record(page_id, score) -> dict:
+    return {
+        "page_id": page_id,
+        "M": score.M,
+        "E": score.E,
+        "pairs": [{"x": x, "y": y, "weight": w} for x, y, w in score.pairs],
+        "excluded_pair": (
+            {"x": score.excluded_pair[0], "y": score.excluded_pair[1], "weight": score.excluded_pair[2]}
+            if score.excluded_pair
+            else None
+        ),
+        "revert_events": [
+            {
+                "restored_rev": e.restored_rev,
+                "reverting_rev": e.reverting_rev,
+                "reverting_editor": e.reverting_editor,
+                "reverted_editor": e.reverted_editor,
+                "self_revert": e.self_revert,
+            }
+            for e in score.events
+        ],
+    }
+
+
 def _cmd_conflict(args) -> int:
+    # each page's record is written as soon as it is scored, so a dump that
+    # fails part-way leaves the records of the pages before the failure
     warnings: Counter = Counter()
-    source = sys.stdin.buffer if args.input == "-" else args.input
-    scored = []
-    for page_id, history in parse_revision_dump(source, warnings):
-        if not history:
-            warnings["empty_history"] += 1
-            continue
-        scored.append((page_id, controversy_m(history, match_policy=args.match)))
-    lines = []
-    for page_id, score in scored:
-        payload = {
-            "page_id": page_id,
-            "M": score.M,
-            "E": score.E,
-            "pairs": [{"x": x, "y": y, "weight": w} for x, y, w in score.pairs],
-            "excluded_pair": (
-                {"x": score.excluded_pair[0], "y": score.excluded_pair[1], "weight": score.excluded_pair[2]}
-                if score.excluded_pair
-                else None
-            ),
-            "revert_events": [
-                {
-                    "restored_rev": e.restored_rev,
-                    "reverting_rev": e.reverting_rev,
-                    "reverting_editor": e.reverting_editor,
-                    "reverted_editor": e.reverted_editor,
-                    "self_revert": e.self_revert,
-                }
-                for e in score.events
-            ],
-        }
-        lines.append(report.render_json(payload).rstrip("\n"))
-    _write_lines(args.output, lines)
+    # (-M, page_id) per page for --ranking: page ids are str, so the tuples
+    # sort in ranking order, M descending, then page_id
+    ranked = []
+    with _open_output(args.output) as out:
+        for page_id, history in parse_revision_dump(_input(args.input), warnings):
+            if not history:
+                warnings["empty_history"] += 1
+                continue
+            score = controversy_m(history, match_policy=args.match)
+            record = _conflict_record(page_id, score)  # ints, strs and bools only
+            out.write(report.render_json(record, round_floats=False))
+            if args.ranking:
+                ranked.append((-score.M, page_id))
+            del history, score, record  # hold no page while the next one is read
     if args.ranking:
-        ranked = sorted(scored, key=lambda ps: (-ps[1].M, str(ps[0])))
-        _write_lines(args.ranking, (f"{page_id}\t{score.M}" for page_id, score in ranked))
+        ranked.sort()
+        with _open_output(args.ranking) as out:
+            for neg_m, page_id in ranked:
+                out.write(f"{page_id}\t{-neg_m}\n")
     _print_warnings(warnings)
     return 0
 
@@ -378,7 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--condition", choices=sampling.ConditionSpec.all_codes(), default="WB")
     p.add_argument("--pos-condition", choices=posstats.POS_CONDITIONS, default="O")
     p.add_argument("--exclude-patterns")
-    p.add_argument("--processes", type=int, default=1)
+    p.add_argument("--processes", type=_positive_int, default=1)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=_cmd_ngram)
@@ -414,7 +430,7 @@ def build_parser() -> _Parser:
                    help="comma-separated codes, default all eight")
     p.add_argument("--paired", action="store_true",
                    help="restrict corpus B to titles present in corpus A")
-    p.add_argument("--ngram-max-n", type=int, default=3)
+    p.add_argument("--ngram-max-n", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--boundary", choices=["raw", "post"], default="post")
     p.add_argument("--exclude-patterns")

@@ -4,10 +4,13 @@ strip_markup runs a battery of removal passes to a fixpoint, so its output
 is idempotent by construction: link anchors survive, templates, tables,
 refs, comments, and tag/entity noise do not.  A pass repeats only while a
 cheap check finds something left to strip, so most pages take one pass.
-Dump parsing is streaming — memory is bounded by one <page> element, and a
-concatenation of dumps parses as the concatenation of their pages.  A page's
-bytes are held once: the parser is fed its blocks as the chunker read them,
-and drops each block once fed.
+Dump parsing is streaming, and a concatenation of dumps parses as the
+concatenation of their pages.  A page that spans 64 KB blocks goes to the
+parser a block at a time as it is read, and each revision's element is
+cleared once its fields are read, so reading it holds one block plus the
+page's distinct texts, once each: equal texts of a page share one str.
+parse_revision_dump keeps nothing of a page it has yielded.  JSONL and other text inputs are read as UTF-8, and a
+byte that is not UTF-8 is a ParseError at its line.
 
 Everything here runs in time linear in its input: the page chunker reads
 each byte once and never joins a page's blocks, and every markup pass is a
@@ -20,11 +23,13 @@ counted as the ``markup_fixpoint_cap`` warning.
 from __future__ import annotations
 
 import html.entities
+import io
 import json
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 from datetime import datetime, timezone
+from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import MarkupError, ParseError
@@ -413,26 +418,31 @@ _OPEN_TAG = b"<page>"
 _CLOSE_TAG = b"</page>"
 
 
-def _iter_page_chunks(stream: IO[bytes]) -> Iterator[tuple[list[bytes], int]]:
+def _iter_page_chunks(stream: IO[bytes]) -> Iterator[tuple[Iterator[bytes], int]]:
     """Yield (page parts, absolute offset) per <page>...</page> element.
 
-    The parts are non-empty and join to the page's bytes; a page within one
-    block is a one-part list.  Memory stays bounded by one page; anything
-    between pages (headers, siteinfo, a second dump's preamble) is skipped,
-    so concatenated dumps chunk exactly like the dumps chunked separately.
-    A page spanning many blocks keeps them in a list, and each new block is
-    searched once (with the seam it makes with the last one).  The list is
-    yielded as it stands, never joined.
+    The parts are an iterator of non-empty byte strings that join to the
+    page's bytes.  It reads the next 64 KB block only when asked for the
+    next part, so memory stays bounded by one block, and the caller must
+    use it up before asking for the next page.  At the end of the
+    stream inside a page, the parts iterator raises "unterminated <page>
+    element".  Anything between pages (headers, siteinfo, a second dump's
+    preamble) is skipped, so concatenated dumps chunk exactly like the dumps
+    chunked separately.  Each block is searched once, with the seam it
+    makes with the last one.
     """
     seam = len(_CLOSE_TAG) - 1  # bytes of a tag that can precede a block
     buf = b""  # bytes not yet searched for <page>
     base = 0  # absolute offset of buf[0]
-    page: list[bytes] = []  # blocks of the open page, from its <page> on
-    page_at = 0
-    tail = b""  # last bytes of the open page, searched already
-    while True:
-        block = stream.read(1 << 16)
-        if page:
+
+    def rest_of_page(first: bytes, page_at: int) -> Iterator[bytes]:
+        # an open page from its <page> on: first, then the blocks up to and
+        # including its </page>; what follows that is left in buf
+        nonlocal buf, base
+        yield first
+        tail = first[-seam:]  # last bytes of the page, searched already
+        while True:
+            block = stream.read(1 << 16)
             if not block:
                 raise ParseError("unterminated <page> element", location=f"byte {page_at}")
             found = (tail + block[:seam]).find(_CLOSE_TAG)
@@ -441,18 +451,19 @@ def _iter_page_chunks(stream: IO[bytes]) -> Iterator[tuple[list[bytes], int]]:
             else:
                 found = block.find(_CLOSE_TAG)
                 if found == -1:
-                    page.append(block)
                     tail = (tail + block[-seam:])[-seam:]
                     base += len(block)
+                    yield block
                     continue
                 stop = found + len(_CLOSE_TAG)
-            page.append(block[:stop])
-            yield page, page_at
-            page = []
             buf = block[stop:]
             base += stop
-        else:
-            buf += block
+            yield block[:stop]
+            return
+
+    while True:
+        block = stream.read(1 << 16)
+        buf += block
         pos = 0
         while True:
             start = buf.find(_OPEN_TAG, pos)
@@ -469,33 +480,81 @@ def _iter_page_chunks(stream: IO[bytes]) -> Iterator[tuple[list[bytes], int]]:
                     raise ParseError(
                         "unterminated <page> element", location=f"byte {base + start}"
                     )
-                page = [buf[start:]]
                 page_at = base + start
-                tail = page[0][-seam:]
+                parts = rest_of_page(buf[start:], page_at)
                 base += len(buf)
                 buf = b""
-                break
+                yield parts, page_at
+                pos = 0
+                continue
             pos = end + len(_CLOSE_TAG)
-            yield [buf[start:pos]], base + start
+            yield iter((buf[start:pos],)), base + start
         if not block:
             return
 
 
-def _parse_page_chunk(parts: list[bytes], offset: int) -> ET.Element:
-    """Parse a page from its parts, emptying the list as the parser takes them.
+class _Page(NamedTuple):
+    offset: int
+    title: str
+    page_id: str
+    revisions: list[tuple]  # what the reader read of each revision child, in order
 
-    Each part is freed once fed, so the bytes not yet parsed and the tree
-    built so far add up to about one copy of the page.  The parser reports
-    the same errors, at the same lines and columns, as for the joined bytes.
+
+def _read_page(parts: Iterator[bytes], offset: int, read_revision) -> _Page:
+    """Parse one page from its parts; read_revision(element, strs) reads a revision.
+
+    strs is one dict per page, for read_revision to share equal strs in.  A
+    page that spans blocks is parsed as its blocks come: each revision is
+    read at its end tag and its element is then cleared, so the tree never
+    holds a revision's text.  A page within one block is small, so it is
+    parsed whole and read after, without the per-element events.  Either
+    way the revisions returned are the page's direct children, and the
+    parser reports the same errors, at the same lines and columns, as for
+    the page's joined bytes.
     """
-    parser = ET.XMLParser()
-    parts.reverse()
+    fields: dict[ET.Element, tuple] = {}
+    strs: dict[str, str] = {}
+    first = next(parts)
+    second = next(parts, None)
     try:
-        while parts:
-            parser.feed(parts.pop())
-        return parser.close()
+        if second is None:
+            parser = ET.XMLParser()
+            parser.feed(first)
+            page = parser.close()
+        else:
+            parser = ET.XMLPullParser(("end",))
+            for part in chain((first, second), parts):
+                parser.feed(part)
+                for _, elem in parser.read_events():
+                    if elem.tag == "revision":
+                        fields[elem] = read_revision(elem, strs)
+                        elem.clear()
+            # the parts end with the page's own end tag, so close() finds
+            # no element left to end: the last event read was the page's
+            parser.close()
+            page = elem
     except ET.ParseError as exc:
-        raise ParseError(f"malformed page XML: {exc}", location=f"byte {offset}") from None
+        error = str(exc)
+    else:
+        title = (page.findtext("title") or "").strip()
+        revisions = [
+            fields[rev] if rev in fields else read_revision(rev, strs)
+            for rev in page.findall("revision")
+        ]
+        return _Page(offset, title, (page.findtext("id") or "").strip() or title, revisions)
+    for _ in parts:  # a page that is also unterminated reports that first
+        pass
+    raise ParseError(f"malformed page XML: {error}", location=f"byte {offset}")
+
+
+def _read_pages(stream: IO[bytes], warnings: Counter, read_revision) -> Iterator[_Page]:
+    """Each <page> of the stream, read; a stream with none counts no_pages."""
+    found = False
+    for parts, offset in _iter_page_chunks(stream):
+        found = True
+        yield _read_page(parts, offset, read_revision)
+    if not found:
+        warnings["no_pages"] += 1
 
 
 def _parse_timestamp(text: str | None):
@@ -529,6 +588,23 @@ def _editor(rev: ET.Element) -> str:
     return ""
 
 
+def _article_revision(rev: ET.Element, strs: dict) -> tuple[datetime | None, str]:
+    return _parse_timestamp(rev.findtext("timestamp")), rev.findtext("text") or ""
+
+
+def _history_revision(rev: ET.Element, strs: dict) -> tuple[datetime | None, str, str]:
+    # equal editors and texts of a page share one str: a revert holds no
+    # second copy of the text it restores, and detect_reverts matches it by
+    # identity
+    editor = _editor(rev)
+    text = rev.findtext("text") or ""
+    return (
+        _parse_timestamp(rev.findtext("timestamp")),
+        strs.setdefault(editor, editor),
+        strs.setdefault(text, text),
+    )
+
+
 def parse_article_dump(
     source,
     format: str = "xml-export",
@@ -546,21 +622,15 @@ def parse_article_dump(
         return
     if format not in ("xml-export", "xml"):
         raise ValueError(f"unknown dump format {format!r}")
-    with _open_maybe(source, "rb") as stream:
-        for chunk, offset in _iter_page_chunks(stream):
-            page = _parse_page_chunk(chunk, offset)
-            title = (page.findtext("title") or "").strip()
-            if not title:
-                raise ParseError("page without a title", location=f"byte {offset}")
-            revisions = page.findall("revision")
-            if not revisions:
+    with _open_maybe(source) as stream:
+        for page in _read_pages(stream, warnings, _article_revision):
+            if not page.title:
+                raise ParseError("page without a title", location=f"byte {page.offset}")
+            if not page.revisions:
                 warnings["page_without_revision"] += 1
                 continue
-            latest = max(
-                enumerate(revisions),
-                key=lambda iv: (_parse_timestamp(iv[1].findtext("timestamp")) or _EPOCH, iv[0]),
-            )[1]
-            raw = latest.findtext("text") or ""
+            latest = max(enumerate(page.revisions), key=lambda iv: (iv[1][0] or _EPOCH, iv[0]))
+            raw = latest[1][1]
             if not raw.strip():
                 warnings["empty_page"] += 1
                 continue
@@ -571,8 +641,7 @@ def parse_article_dump(
             if not body:
                 warnings["empty_page"] += 1
                 continue
-            page_id = (page.findtext("id") or "").strip() or title
-            yield Document(id=page_id, title=title, body=body)
+            yield Document(id=page.page_id, title=page.title, body=body)
 
 
 def parse_revision_dump(
@@ -581,61 +650,90 @@ def parse_revision_dump(
     """Stream (page_id, history) groups out of a full-history dump.
 
     Histories come back timestamp-sorted (stable) with rev_index 0..k-1;
-    raw_text is preserved exactly as stored, never cleaned.
+    raw_text is preserved exactly as stored, never cleaned, and equal texts
+    of a page are one str.  No reference to a yielded history is kept, so
+    one page at a time is in memory if the caller drops each in turn.
     """
     warnings = warnings if warnings is not None else Counter()
-    with _open_maybe(source, "rb") as stream:
-        for chunk, offset in _iter_page_chunks(stream):
-            page = _parse_page_chunk(chunk, offset)
-            title = (page.findtext("title") or "").strip()
-            page_id = (page.findtext("id") or "").strip() or title
-            if not page_id:
-                raise ParseError("page without id or title", location=f"byte {offset}")
-            rows = []
-            last_ts = _EPOCH
-            for idx, rev in enumerate(page.findall("revision")):
-                ts = _parse_timestamp(rev.findtext("timestamp"))
-                if ts is None:
-                    warnings["missing_timestamp"] += 1
-                    ts = last_ts
-                last_ts = ts
-                editor = _editor(rev)
-                if not editor:
-                    editor = "UNKNOWN"
-                    warnings["missing_contributor"] += 1
-                rows.append((ts, idx, editor, rev.findtext("text") or ""))
-            ordered = sorted(rows, key=lambda r: r[0])
-            if [r[1] for r in ordered] != list(range(len(rows))):
-                warnings["reordered_revisions"] += 1
-            history = [
-                RevisionRecord(page_id, i, ts, editor, raw)
-                for i, (ts, _, editor, raw) in enumerate(ordered)
-            ]
-            yield page_id, history
+    with _open_maybe(source) as stream:
+        for page in _read_pages(stream, warnings, _history_revision):
+            if not page.page_id:
+                raise ParseError("page without id or title", location=f"byte {page.offset}")
+            yield page.page_id, _history(page, warnings)
+            del page  # hold nothing of this page while the next one is read
+
+
+def _history(page: _Page, warnings: Counter) -> list[RevisionRecord]:
+    rows = []
+    last_ts = _EPOCH
+    for idx, (ts, editor, text) in enumerate(page.revisions):
+        if ts is None:
+            warnings["missing_timestamp"] += 1
+            ts = last_ts
+        last_ts = ts
+        if not editor:
+            editor = "UNKNOWN"
+            warnings["missing_contributor"] += 1
+        rows.append((ts, idx, editor, text))
+    ordered = sorted(rows, key=lambda r: r[0])
+    if [r[1] for r in ordered] != list(range(len(rows))):
+        warnings["reordered_revisions"] += 1
+    return [
+        RevisionRecord(page.page_id, i, ts, editor, raw)
+        for i, (ts, _, editor, raw) in enumerate(ordered)
+    ]
+
+
+# surrogateescape decodes each byte that is not UTF-8 to one of these
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+
+
+def utf8_lines(source) -> Iterator[str]:
+    """The lines of a UTF-8 text: a path, a binary stream or a text stream.
+
+    Paths and binary streams are decoded here, with universal newlines as
+    open() gives them, and a line holding a byte that is not UTF-8 raises
+    ParseError at its line number.  A text stream's lines come as it gives
+    them.  Streams are left open.
+    """
+    with _open_maybe(source) as stream:
+        if not isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
+            yield from stream
+            return
+        text = io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape")
+        try:
+            for line_no, line in enumerate(text, start=1):
+                if not line.isascii():
+                    bad = _ESCAPED_BYTE_RE.search(line)
+                    if bad is not None:
+                        raise ParseError(
+                            f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}",
+                            location=f"line {line_no}",
+                        )
+                yield line
+        finally:
+            text.detach()  # closing the wrapper would close the stream
 
 
 def _parse_jsonl(source, warnings: Counter) -> Iterator[Document]:
-    with _open_maybe(source, "r") as stream:
-        for line_no, line in enumerate(stream, start=1):
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", location=f"line {line_no}") from None
-            try:
-                doc_id, title, text = record["id"], record["title"], record["text"]
-            except (TypeError, KeyError):
-                raise ParseError(
-                    "record needs id, title and text fields", location=f"line {line_no}"
-                ) from None
-            if not str(text).strip():
-                warnings["empty_page"] += 1
-                continue
-            yield Document(id=str(doc_id), title=str(title), body=str(text))
+    for line_no, line in enumerate(utf8_lines(source), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON: {exc}", location=f"line {line_no}") from None
+        try:
+            doc_id, title, text = record["id"], record["title"], record["text"]
+        except (TypeError, KeyError):
+            raise ParseError(
+                "record needs id, title and text fields", location=f"line {line_no}"
+            ) from None
+        if not str(text).strip():
+            warnings["empty_page"] += 1
+            continue
+        yield Document(id=str(doc_id), title=str(title), body=str(text))
 
 
 def docs_to_jsonl(docs: Iterable[Document], fp: IO[str]) -> int:
@@ -652,18 +750,16 @@ def docs_to_jsonl(docs: Iterable[Document], fp: IO[str]) -> int:
 
 
 class _open_maybe:
-    """Context manager: open paths, pass streams through without closing."""
+    """Context manager: open paths for binary reading, pass streams through without closing."""
 
-    def __init__(self, source, mode: str):
+    def __init__(self, source):
         self._source = source
-        self._mode = mode
         self._opened = None
 
     def __enter__(self):
         source = self._source
         if isinstance(source, str) or hasattr(source, "__fspath__"):
-            kwargs = {} if "b" in self._mode else {"encoding": "utf-8"}
-            self._opened = open(source, self._mode, **kwargs)
+            self._opened = open(source, "rb")
             return self._opened
         return source
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 from collections import Counter, _count_elements
 from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -200,9 +199,10 @@ def heaps_fit(tokens: Sequence, checkpoint_policy=50) -> HeapsFit:
 def entropy_bits(counts: Iterable[int], total: int) -> float:
     """Plug-in entropy in bits of positive counts summing to total."""
     # fsum is correctly rounded, so the result does not depend on term order,
-    # and each term is computed once per distinct count, then repeated
+    # and each term is computed once per distinct count, then repeated.
+    # 0.0 - sum, not -sum: one type sums to 0.0, which must not print as -0.0
     by_count = Counter(counts)
-    return -math.fsum(chain.from_iterable(
+    return 0.0 - math.fsum(chain.from_iterable(
         repeat((c / total) * math.log2(c / total), m) for c, m in by_count.items()))
 
 
@@ -417,6 +417,8 @@ def count_corpus_ngrams(
         shards: list[list] = [[] for _ in range(min(processes, len(sections)))]
         for i, sentences in enumerate(sections):
             shards[i % len(shards)].append(sentences)
+        import multiprocessing  # only sharded counting needs it; keep it off start-up
+
         # fork workers inherit the shards from the initializer arguments, so
         # no token is pickled on the way in; tasks carry only shard indices
         ctx = multiprocessing.get_context("fork")

@@ -36,9 +36,15 @@ def _round6(value):
     return value
 
 
-def render_json(payload) -> str:
-    """Canonical JSON: sorted keys, 6-significant-digit floats, newline end."""
-    return json.dumps(_round6(payload), sort_keys=True, ensure_ascii=False) + "\n"
+def render_json(payload, round_floats: bool = True) -> str:
+    """Canonical JSON: sorted keys, 6-significant-digit floats, newline end.
+
+    round_floats=False skips the walk that rounds the floats, for a payload
+    that holds none; the text is the same.
+    """
+    if round_floats:
+        payload = _round6(payload)
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def _group_block(stats: readability.GroupStats) -> dict:

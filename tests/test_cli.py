@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,14 @@ class TestExtract:
         assert cli.main(["extract", str(src), "--keep-redirects", "-o", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1
 
+    def test_dump_without_pages_warns(self, tmp_path, capsys):
+        src = tmp_path / "dump.xml"
+        src.write_text(xml_dump())
+        assert cli.main(["extract", str(src)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "warning: no_pages x1\n"
+
     def test_jsonl_roundtrip(self, corpus_a, tmp_path):
         out = tmp_path / "copy.jsonl"
         assert cli.main(["extract", corpus_a, "--format", "jsonl", "-o", str(out)]) == 0
@@ -187,6 +196,12 @@ class TestStats:
         with pytest.raises(SystemExit) as err:
             cli.main(["stats", corpus_a, "--condition", "XX"])
         assert err.value.code == 1
+
+    def test_one_type_entropy_is_positive_zero(self, tmp_path, capsys):
+        src = write_jsonl(tmp_path / "one.jsonl", [{"id": "1", "title": "T", "text": "la la la"}])
+        assert cli.main(["stats", src, "--condition", "WN"]) == 0
+        out = capsys.readouterr().out
+        assert '"entropy_bits": 0.0' in out and "-0.0" not in out
 
     def test_reads_stdin(self, corpus_a, capsys, monkeypatch):
         text = "".join(json.dumps(r) + "\n" for r in A_DOCS)
@@ -283,12 +298,113 @@ class TestConflict:
         assert (calm["M"], calm["revert_events"]) == (0, [])
         assert ranking.read_text() == "1\t8\n2\t0\n"
 
+    def test_failure_keeps_earlier_records(self, tmp_path, capsys):
+        # records are written as pages are scored, as extract writes documents
+        src = tmp_path / "hist.xml"
+        src.write_text(self.history_dump().replace("</mediawiki>", "<page><title>X</page>"))
+        out, ranking = tmp_path / "out.jsonl", tmp_path / "rank.tsv"
+        assert cli.main(["conflict", str(src), "-o", str(out), "--ranking", str(ranking)]) == 2
+        assert [json.loads(line)["page_id"] for line in out.read_text().splitlines()] == ["1", "2"]
+        assert not ranking.exists()
+        assert "error: malformed page XML" in capsys.readouterr().err
+
+    def test_jsonl_input_warns_no_pages(self, corpus_a, capsys):
+        assert cli.main(["conflict", corpus_a]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "warning: no_pages x1\n"
+
     def test_match_policy_flag(self, tmp_path, capsys):
         src = tmp_path / "hist.xml"
         src.write_text(self.history_dump())
         assert cli.main(["conflict", str(src), "--match", "earliest"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert {r["page_id"] for r in rows} == {"1", "2"}
+
+
+def small_histories(path, pages):
+    """A dump of pages of five revisions, in which two editors revert each other."""
+    texts = ["a", "b", "a", "b", "end"]
+    path.write_text(xml_dump(*(
+        xml_page(f"P{p}", p, [
+            (k, f"2010-01-01T00:00:{k:02d}Z", f"E{k % 2}", f"{text} {p}")
+            for k, text in enumerate(texts)
+        ])
+        for p in range(pages)
+    )))
+    return str(path)
+
+
+class TestConflictMemory:
+    """conflict holds one page at a time, not a record per page read."""
+
+    @pytest.fixture(scope="class")
+    def dumps(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("histories")
+        return {n: small_histories(base / f"h{n}.xml", n) for n in (500, 8000)}
+
+    def peak(self, argv):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def peaks(self, dumps, tmp_path, extra=()):
+        argv = lambda n: ["conflict", dumps[n], "-o", str(tmp_path / "out.jsonl"), *extra]
+        self.peak(argv(500))  # first use: lazy imports and caches
+        return self.peak(argv(500)), self.peak(argv(8000))
+
+    def test_peak_does_not_grow_with_pages(self, dumps, tmp_path):
+        small, large = self.peaks(dumps, tmp_path)
+        assert large <= 1.5 * small, f"500 pages: {small} B, 8000 pages: {large} B"
+
+    def test_one_large_page_at_a_time(self, tmp_path):
+        # two pages of 1,500 distinct 1.4 KB texts: the first is dropped once written
+        def page(p):
+            return xml_page(f"P{p}", p, [
+                (k, f"2010-01-01T00:{k // 60 % 60:02d}:{k % 60:02d}Z", f"E{k % 3}",
+                 f"{p} {k} " + "w" * 1400)
+                for k in range(1500)
+            ])
+
+        src = tmp_path / "big.xml"
+        src.write_text(xml_dump(page(1), page(2)))
+        peak = self.peak(["conflict", str(src), "-o", str(tmp_path / "out.jsonl")])
+        one_page = len(page(1))
+        assert peak <= 1.5 * one_page, f"peak {peak / one_page:.2f}x one page's bytes"
+
+    def test_ranking_costs_little_per_page(self, dumps, tmp_path):
+        small, large = self.peaks(dumps, tmp_path, ("--ranking", str(tmp_path / "rank.tsv")))
+        per_page = (large - small) / 7500
+        assert per_page <= 150, f"{per_page:.0f} B per page"
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is a data error at its line, not a traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["stats", "{bad_jsonl}"],
+        ["stats", "{a}", "--exclude-patterns", "{bad_text}"],
+        ["pos", "{bad_tags}", "{bad_tags}"],
+        ["ngram", "{bad_tags}", "--n", "1", "--kind", "tag"],
+    ])
+    def test_bad_byte_in_a_file(self, args, corpus_a, tmp_path, capsys):
+        paths = {"a": corpus_a}
+        for name, first in [("bad_jsonl", json.dumps(A_DOCS[0])), ("bad_text", "pattern"),
+                            ("bad_tags", TAG_LINES[0])]:
+            path = tmp_path / name
+            path.write_bytes(first.encode() + b"\n" + b'caf\xff/NN "x"\n')
+            paths[name] = str(path)
+        assert cli.main([a.format(**paths) for a in args]) == 2
+        assert capsys.readouterr().err.endswith("error: invalid UTF-8 byte 0xff [line 2]\n")
+
+    def test_bad_byte_on_stdin(self, capsys, monkeypatch):
+        data = b'{"id": "1", "title": "T", "text": "ok"}\r\n{"id": "2", "title": "T", "text": "caf\xe9"}\n'
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert cli.main(["stats", "-"]) == 2
+        assert capsys.readouterr().err == "error: invalid UTF-8 byte 0xe9 [line 2]\n"
 
 
 class TestCompare:
@@ -357,6 +473,8 @@ class TestPlotdata:
     ["plotdata", "{a}", "--kind", "ngram_zipf", "--n", "-1", "-o", "{out}"],
     ["compare", "{a}", "{a}", "--conditions", "XX"],
     ["compare", "{a}", "{a}", "--conditions", "WB,wb"],
+    ["compare", "{a}", "{a}", "--ngram-max-n", "0"],
+    ["ngram", "{a}", "--n", "1", "--processes", "0"],
 ])
 def test_out_of_range_arguments_are_usage_errors(args, corpus_a, tags, tmp_path, capsys):
     argv = [a.format(a=corpus_a, tags=tags, out=tmp_path / "out.tsv") for a in args]
@@ -368,16 +486,27 @@ def test_out_of_range_arguments_are_usage_errors(args, corpus_a, tags, tmp_path,
     assert "Traceback" not in stderr
 
 
-def test_import_does_not_load_numpy():
-    # numpy serves only the Heaps functions, which import it when called
-    probe = "import sys, corplex.cli; print('numpy' in sys.modules)"
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter holds module after importing corplex.cli."""
+    probe = f"import sys, corplex.cli; print({module!r} in sys.modules)"
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout in ("True\n", "False\n")
+    return proc.stdout == "True\n"
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the Heaps functions, which import it when called
+    assert not _loaded_by_cli_import("numpy")
+
+
+def test_import_does_not_load_multiprocessing():
+    # only sharded n-gram counting (processes > 1) starts a pool
+    assert not _loaded_by_cli_import("multiprocessing")
 
 
 def _console_script_command():

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from corplex.errors import MarkupError, ParseError
 from corplex.ingest import (
     Document,
+    _iter_page_chunks,
     count_unknown_entities,
     docs_to_jsonl,
     parse_article_dump,
     parse_revision_dump,
     strip_markup,
+    utf8_lines,
 )
 
 
@@ -304,26 +306,118 @@ class TestRevisionDump:
         assert list(parse_revision_dump(io.BytesIO(b""))) == []
 
 
+def big_page(text_of, page_id=1, revisions=3000):
+    """One page of revisions of 1.4 KB, revision k carrying text_of(k)."""
+    words = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
+    body = "".join(
+        f"<revision><timestamp>2010-01-01T00:{k // 60 % 60:02d}:{k % 60:02d}Z</timestamp>"
+        f"<contributor><username>User{k % 7}</username></contributor><text>"
+        + " ".join(f"{words[(text_of(k) + j) % 10]}{page_id}x{text_of(k)}" for j in range(140))[:1400]
+        + "</text></revision>"
+        for k in range(revisions)
+    )
+    return f"<page><title>Big</title><id>{page_id}</id>{body}</page>".encode()
+
+
+def parse_peak(page):
+    """The one history of a dump of page, and the tracemalloc peak of reading it."""
+    dump = io.BytesIO(b"<mediawiki>" + page + b"</mediawiki>")
+    tracemalloc.start()
+    try:
+        [(page_id, history)] = parse_revision_dump(dump)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert page_id == "1" and len(history) == 3000
+    return history, peak
+
+
 class TestRevisionDumpMemory:
     def test_one_large_page_is_held_once(self):
-        # about 3,000 revisions of 1.4 KB in one page: parsing holds the
-        # page's bytes once (each block freed as the parser takes it) plus
-        # the texts; a joined copy of the page alone would add 1x more
-        words = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
-        revisions = [
-            f"<revision><timestamp>2010-01-01T00:{k // 60 % 60:02d}:{k % 60:02d}Z</timestamp>"
-            f"<contributor><username>User{k % 7}</username></contributor><text>"
-            + " ".join(f"{words[(k + j) % 10]}{k}" for j in range(140))[:1400]
-            + "</text></revision>"
-            for k in range(3000)
-        ]
-        page = f"<page><title>Big</title><id>1</id>{''.join(revisions)}</page>".encode()
-        dump = io.BytesIO(b"<mediawiki>" + page + b"</mediawiki>")
+        # the parser is fed one block at a time and each revision's element
+        # is cleared once read, so what is left is the texts, once each
+        page = big_page(lambda k: k)
+        _, peak = parse_peak(page)
+        assert peak <= 1.4 * len(page), f"peak {peak / len(page):.2f}x the page's {len(page)} bytes"
+
+    def test_reverted_texts_are_held_once(self):
+        # every other revision restores the first text: one str serves them all
+        page = big_page(lambda k: 0 if k % 2 == 0 else k)
+        history, peak = parse_peak(page)
+        assert all(rev.raw_text is history[0].raw_text for rev in history[::2])
+        assert peak <= 1.0 * len(page), f"peak {peak / len(page):.2f}x the page's {len(page)} bytes"
+
+    def test_a_yielded_page_is_not_held(self):
+        # a caller that drops each history holds one page at a time
+        first, second = big_page(lambda k: k, 1, 1500), big_page(lambda k: k, 2, 1500)
+        dump = io.BytesIO(b"<mediawiki>" + first + second + b"</mediawiki>")
         tracemalloc.start()
         try:
-            [(page_id, history)] = parse_revision_dump(dump)
+            ids = []
+            for page_id, history in parse_revision_dump(dump):
+                ids.append(page_id)
+                del history
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert page_id == "1" and len(history) == 3000
-        assert peak <= 2.5 * len(page), f"peak {peak / len(page):.2f}x the page's {len(page)} bytes"
+        assert ids == ["1", "2"]
+        assert peak <= 1.4 * len(first), f"peak {peak / len(first):.2f}x one page's bytes"
+
+
+class TestNoPages:
+    @pytest.mark.parametrize("data", [b"", b"<mediawiki><siteinfo/></mediawiki>", b'{"id": 1}\n'])
+    @pytest.mark.parametrize("reader", [parse_article_dump, parse_revision_dump])
+    def test_counted(self, reader, data):
+        warnings = Counter()
+        assert list(reader(io.BytesIO(data), warnings=warnings)) == []
+        assert warnings == Counter(no_pages=1)
+
+    def test_not_counted_when_a_page_is_read(self):
+        warnings = Counter()
+        list(parse_revision_dump(io.BytesIO(b"<page><id>1</id></page>"), warnings=warnings))
+        assert warnings == Counter()
+
+
+class TestPageParts:
+    def test_blocks_are_read_as_the_parts_are_taken(self):
+        data = b"<mediawiki><page>" + b"x" * (5 << 16) + b"</page><page>y</page></mediawiki>"
+        reads = []
+
+        class Stream(io.BytesIO):
+            def read(self, n=-1):
+                reads.append(n)
+                return super().read(n)
+
+        chunks = _iter_page_chunks(Stream(data))
+        parts, offset = next(chunks)
+        assert (offset, len(reads)) == (11, 1)
+        assert next(parts).startswith(b"<page>") and len(reads) == 1
+        next(parts)
+        assert len(reads) == 2
+        rest = list(parts)
+        assert len(reads) == 6 and rest[-1].endswith(b"</page>")
+        [(last, offset)] = list(chunks)
+        assert (b"".join(last), offset) == (b"<page>y</page>", len(data) - 26)
+
+
+class TestUtf8Lines:
+    def test_newlines_as_open_gives_them(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("a\r\nb\rc\nd\u00e9\x1c e".encode())
+        with open(path, encoding="utf-8") as fp:
+            expected = list(fp)
+        assert list(utf8_lines(path)) == expected
+        assert list(utf8_lines(io.BytesIO(path.read_bytes()))) == expected
+
+    def test_bad_byte_located(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"ok\n\xc3\xa9 fine\nbad \xc3(\n")
+        with pytest.raises(ParseError, match=r"invalid UTF-8 byte 0xc3 \[line 3\]"):
+            list(utf8_lines(str(path)))
+
+    def test_streams_are_left_open(self):
+        stream = io.BytesIO(b"a\nb\n")
+        assert list(utf8_lines(stream)) == ["a\n", "b\n"]
+        assert not stream.closed
+        text = io.StringIO("x\udcff\n")  # already decoded: taken as it comes
+        assert list(utf8_lines(text)) == ["x\udcff\n"]

@@ -455,15 +455,17 @@ class ShortReads(io.RawIOBase):
 def chunks(chunker, stream):
     """(page bytes, offset) per page, then the ParseError text if one is raised.
 
-    The live chunker yields a page as a list of parts: none may be empty,
-    and they are joined here to the bytes the oracle yields.
+    The live chunker yields a page as an iterable of parts, which reads its
+    blocks as it is used: each part is taken here before the next page,
+    none may be empty, and they are joined to the bytes the oracle yields.
     """
     got = []
     try:
         for chunk, offset in chunker(stream):
-            if isinstance(chunk, list):
-                assert all(chunk), "empty page part"
-                chunk = b"".join(chunk)
+            if not isinstance(chunk, bytes):
+                parts = list(chunk)
+                assert all(parts), "empty page part"
+                chunk = b"".join(parts)
             got.append((chunk, offset))
     except ParseError as exc:
         got.append(("ParseError", str(exc)))
@@ -532,8 +534,18 @@ def old_parse_page_chunk(chunk, offset):
         raise ParseError(f"malformed page XML: {exc}", location=f"byte {offset}") from None
 
 
-def old_parse_article_dump(stream, warnings):
+def old_pages(stream, warnings):
+    # the readers as they were, plus the no_pages warning both count now
+    found = False
     for chunk, offset in old_iter_page_chunks(stream):
+        found = True
+        yield chunk, offset
+    if not found:
+        warnings["no_pages"] += 1
+
+
+def old_parse_article_dump(stream, warnings):
+    for chunk, offset in old_pages(stream, warnings):
         page = old_parse_page_chunk(chunk, offset)
         title = (page.findtext("title") or "").strip()
         if not title:
@@ -564,7 +576,7 @@ def old_parse_article_dump(stream, warnings):
 
 
 def old_parse_revision_dump(stream, warnings):
-    for chunk, offset in old_iter_page_chunks(stream):
+    for chunk, offset in old_pages(stream, warnings):
         page = old_parse_page_chunk(chunk, offset)
         title = (page.findtext("title") or "").strip()
         page_id = (page.findtext("id") or "").strip() or title
@@ -625,7 +637,8 @@ def same_reading(data, sizes=None):
 
 
 # fields of a revision, including duplicates, blanks, nesting one level too
-# deep, mixed content, entities, CDATA and more than one contributor
+# deep, mixed content, entities, CDATA, more than one contributor and
+# revisions inside a revision or a title
 REVISION_FIELDS = [
     "<timestamp>2008-01-02T00:00:00Z</timestamp>", "<timestamp>2008-01-01T00:00:00Z</timestamp>",
     "<timestamp>never</timestamp>", "<timestamp/>", "<text>words [[a|b]]</text>",
@@ -640,10 +653,12 @@ REVISION_FIELDS = [
     "<contributor><username/></contributor>", "<contributor/>",
     "<contributor><x><username>Deep</username></x></contributor>", "<username>Loose</username>",
     "<id>3</id>", "<minor/>", "<comment>c</comment>",
+    "<revision><text>inner</text><contributor><username>In</username></contributor></revision>",
 ]
 PAGE_FIELDS = [
     "<title>T</title>", "<title>Second</title>", "<title> </title>", "<title/>", "<id>7</id>",
     "<id>8</id>", "<id> </id>", "<ns>0</ns>", "<redirect title='x'/>",
+    "<title>In<revision><text>x</text></revision>tail</title>",
 ]
 
 

@@ -80,24 +80,32 @@ class Label(str):
 
 Pair = namedtuple("Pair", "x y")
 
+FLOAT_FREE_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4), st.text(max_size=4).map(Label),
+)
 LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
-    st.text(max_size=4).map(Label), st.floats(), st.floats().map(np.float64),
+    FLOAT_FREE_LEAVES, st.floats(), st.floats().map(np.float64),
     st.floats(allow_nan=False, allow_infinity=False).map(Weight),
 )
 KEYS = st.text(max_size=3)
-PAYLOADS = st.recursive(
-    LEAVES,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.tuples(inner, inner).map(lambda t: Pair(*t)),
-        st.dictionaries(KEYS, inner, max_size=4),
-        st.dictionaries(KEYS, inner, max_size=4).map(Counter),
-        st.dictionaries(KEYS, inner, max_size=4).map(OrderedDict),
-    ),
-    max_leaves=30,
-)
+
+
+def payloads(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.tuples(inner, inner).map(lambda t: Pair(*t)),
+            st.dictionaries(KEYS, inner, max_size=4),
+            st.dictionaries(KEYS, inner, max_size=4).map(Counter),
+            st.dictionaries(KEYS, inner, max_size=4).map(OrderedDict),
+        ),
+        max_leaves=30,
+    )
+
+
+PAYLOADS = payloads(LEAVES)
 
 
 class TestRenderJsonMatchesOracle:
@@ -105,6 +113,12 @@ class TestRenderJsonMatchesOracle:
     @settings(max_examples=500, deadline=None)
     def test_mixed_payloads(self, payload):
         assert report.render_json(payload) == old_render_json(payload)
+
+    @given(payloads(FLOAT_FREE_LEAVES))
+    @settings(max_examples=300, deadline=None)
+    def test_unrounded_payloads_without_floats(self, payload):
+        # round_floats=False is for payloads that hold no float: the same text
+        assert report.render_json(payload, round_floats=False) == old_render_json(payload)
 
     def test_float_subclasses_and_containers(self):
         payload = {
