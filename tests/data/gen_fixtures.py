@@ -7,8 +7,10 @@ Run from anywhere:
 Writes mini_dump_a.xml, mini_dump_b.xml and history.xml next to itself.
 The outputs are committed; a rerun must reproduce them byte for byte, so
 the generator sticks to one seeded Random instance consumed in a fixed
-order.  Golden outputs for the pipeline stages live under golden/ and are
-produced by running the command-line tools once over these inputs.
+order.  Golden outputs for the pipeline stages live under golden/; after
+this script, run tests/data/gen_goldens.py, which rewrites every one of
+them by running the command-line tool over these inputs.  On an unchanged
+tree, a rerun of both leaves git status clean.
 """
 
 import random
