@@ -15,6 +15,7 @@ from . import __version__, lexstats, posstats, readability, report, sampling
 from .errors import CorplexError
 from .ingest import docs_to_jsonl, parse_article_dump, parse_revision_dump, utf8_lines
 from .controversy import controversy_m
+from .textpipe import type_counts
 
 
 def _positive_int(text: str) -> int:
@@ -45,11 +46,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _print_warnings(warnings: Counter) -> None:
-    for name in sorted(warnings):
-        print(f"warning: {name} x{warnings[name]}", file=sys.stderr)
-
-
 def _open_output(path: str):
     """A text stream to write path to; "-" is stdout, left open."""
     if path == "-":
@@ -63,7 +59,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_lines(path: str, lines) -> None:
-    _write_text(path, "".join(line + "\n" for line in lines))
+    with _open_output(path) as out:
+        out.writelines(line + "\n" for line in lines)
 
 
 def _input(path: str):
@@ -83,17 +80,24 @@ def _load_patterns(path: str | None) -> list[str]:
     return [line.rstrip("\n") for line in utf8_lines(path) if line.strip()]
 
 
-def _load_tagged(path: str, warnings: Counter):
-    return posstats.parse_tagged(utf8_lines(path), warnings)
+def _load_tagged(path: str, pos_condition: str, warnings: Counter):
+    tagged = posstats.parse_tagged(utf8_lines(path), warnings)
+    return posstats.apply_pos_condition(tagged, pos_condition)
 
 
-def _doc_sentence_groups(docs, cond, patterns) -> list:
-    """Condition-processed sentences, one group per document."""
+def _doc_sentence_groups(args, warnings: Counter) -> list:
+    """args.input's sentences under --condition, one group per document.
+
+    The corpus is read before the pattern file, so a bad corpus is the
+    error reported when both are bad.
+    """
+    docs = _load_docs(args.input, warnings)
+    cond = sampling.ConditionSpec.parse(args.condition)
+    patterns = _load_patterns(args.exclude_patterns)
     return [sampling.apply_condition(sampling.doc_lines(doc), cond, patterns) for doc in docs]
 
 
-def _cmd_extract(args) -> int:
-    warnings: Counter = Counter()
+def _cmd_extract(args, warnings: Counter) -> None:
     docs = parse_article_dump(
         _input(args.input),
         format=args.format,
@@ -102,12 +106,9 @@ def _cmd_extract(args) -> int:
     )
     with _open_output(args.output) as out:
         docs_to_jsonl(docs, out)
-    _print_warnings(warnings)
-    return 0
 
 
-def _cmd_sample(args) -> int:
-    warnings: Counter = Counter()
+def _cmd_sample(args, warnings: Counter) -> None:
     docs = _load_docs(args.input, warnings)
     unit = sampling.CHARACTER if args.unit.startswith("char") else sampling.WORD_UNIT
     groups = [sampling.doc_lines(doc) for doc in docs]
@@ -119,33 +120,15 @@ def _cmd_sample(args) -> int:
     _write_lines(args.output + ".txt", sample.lines)
     manifest = sampling.sample_manifest(sample, unit, args.target, source=args.input)
     _write_text(args.output + ".manifest.json", report.render_json(manifest))
-    _print_warnings(warnings)
-    return 0
 
 
-def _cmd_stats(args) -> int:
-    warnings: Counter = Counter()
-    docs = _load_docs(args.input, warnings)
-    cond = sampling.ConditionSpec.parse(args.condition)
-    patterns = _load_patterns(args.exclude_patterns)
-    groups = _doc_sentence_groups(docs, cond, patterns)
-    sentences = [s for g in groups for s in g]
+def _cmd_stats(args, warnings: Counter) -> None:
+    sentences = [s for g in _doc_sentence_groups(args, warnings) for s in g]
     if not sentences:
         raise CorplexError("no sentences left after processing")
-    stream = [t.surface for s in sentences for t in s.tokens]
-    V, N = lexstats.type_token_counts(stream)
-    stats = lexstats.corpus_stats(sentences)
-    payload = {
-        "condition": cond.code,
-        "V": V,
-        "N": N,
-        "C": lexstats.herdan_c(V, N) if V >= 2 else None,
-        "entropy_bits": lexstats.unigram_entropy(stream),
-        "chars_per_word": stats.chars_per_word,
-        "words_per_sentence": stats.words_per_sentence,
-        "separators_per_sentence": stats.separators_per_sentence,
-        "content_words_per_subsentence": stats.content_words_per_subsentence,
-    }
+    measures = lexstats.corpus_measures(type_counts(sentences), len(sentences))
+    ratios = measures.pop("corpus_stats")
+    payload = {"condition": args.condition, **measures, **ratios}
     if args.format == "json":
         _write_text(args.output, report.render_json(payload))
     else:
@@ -155,22 +138,13 @@ def _cmd_stats(args) -> int:
             return f"{v:.6g}" if isinstance(v, float) else str(v)
 
         _write_lines(args.output, (f"{k}\t{fmt(v)}" for k, v in payload.items()))
-    _print_warnings(warnings)
-    return 0
 
 
-def _cmd_ngram(args) -> int:
-    warnings: Counter = Counter()
+def _cmd_ngram(args, warnings: Counter) -> None:
     if args.kind == "word":
-        docs = _load_docs(args.input, warnings)
-        cond = sampling.ConditionSpec.parse(args.condition)
-        patterns = _load_patterns(args.exclude_patterns)
-        groups = _doc_sentence_groups(docs, cond, patterns)
-        sections = [lexstats.fold_sentences(g) for g in groups]
+        sections = [lexstats.fold_sentences(g) for g in _doc_sentence_groups(args, warnings)]
     else:
-        tagged = _load_tagged(args.input, warnings)
-        tagged = posstats.apply_pos_condition(tagged, args.pos_condition)
-        sections = [[s.tags() for s in tagged]]
+        sections = [[s.tags() for s in _load_tagged(args.input, args.pos_condition, warnings)]]
     table = lexstats.count_corpus_ngrams(
         sections, args.n, args.boundary, processes=args.processes
     )
@@ -187,73 +161,51 @@ def _cmd_ngram(args) -> int:
             "entropy_bits": lexstats.table_entropy(table),
         }
         _write_text(args.output, report.render_json(payload))
-    _print_warnings(warnings)
-    return 0
 
 
-def _cmd_pos(args) -> int:
-    warnings: Counter = Counter()
-    tagged_a = posstats.apply_pos_condition(_load_tagged(args.input_a, warnings), args.pos_condition)
-    tagged_b = posstats.apply_pos_condition(_load_tagged(args.input_b, warnings), args.pos_condition)
+def _cmd_pos(args, warnings: Counter) -> None:
+    tagged_a = _load_tagged(args.input_a, args.pos_condition, warnings)
+    tagged_b = _load_tagged(args.input_b, args.pos_condition, warnings)
+
+    def compare(n: int) -> tuple[float, float]:
+        table_a = posstats.tag_ngram_table(tagged_a, n, args.boundary)
+        table_b = posstats.tag_ngram_table(tagged_b, n, args.boundary)
+        try:
+            return posstats.cosine_angle(table_a, table_b)
+        except ValueError as exc:  # a file too short to hold one n-gram
+            raise CorplexError(f"n={n}: {exc}") from exc
+
     if args.format == "tsv":
-        rows = []
-        for n in range(2, 6):
-            table_a = posstats.tag_ngram_table(tagged_a, n, args.boundary)
-            table_b = posstats.tag_ngram_table(tagged_b, n, args.boundary)
-            _, angle = posstats.cosine_angle(table_a, table_b)
-            rows.append((n, angle))
+        rows = [(n, compare(n)[1]) for n in range(2, 6)]
         _write_lines(args.output, report.angle_table_tsv_lines(rows))
     else:
-        table_a = posstats.tag_ngram_table(tagged_a, args.n, args.boundary)
-        table_b = posstats.tag_ngram_table(tagged_b, args.n, args.boundary)
-        similarity, angle = posstats.cosine_angle(table_a, table_b)
+        similarity, angle = compare(args.n)
         payload = {"n": args.n, "similarity": similarity, "angle_degrees": angle}
         _write_text(args.output, report.render_json(payload))
-    _print_warnings(warnings)
-    return 0
 
 
-def _cmd_fog(args) -> int:
-    warnings: Counter = Counter()
+def _cmd_fog(args, warnings: Counter) -> None:
     docs = _load_docs(args.input, warnings)
     if not docs:
         raise CorplexError("no documents")
+    granularity = "pooled" if args.pooled else "per_document"
+    try:
+        fog = readability.corpus_fog(docs, granularity=granularity, warnings=warnings)
+    except ValueError as exc:  # no document, or no pooled sentence, has a word
+        raise CorplexError(str(exc)) from exc
     if args.pooled:
-        fog = readability.corpus_fog(docs, granularity="pooled", warnings=warnings)
-        payload = {
-            "mode": "pooled",
-            "words": fog.words,
-            "sentences": fog.sentences,
-            "complex_words": fog.complex_words,
-            "F": fog.F,
-        }
-        _write_text(args.output, report.render_json(payload))
+        payload = {"mode": "pooled", **report._fog_block(fog)}
     else:
-        try:
-            stats, reports = readability.corpus_fog(docs, warnings=warnings)
-        except ValueError as exc:
-            raise CorplexError(str(exc)) from exc
+        stats, reports = fog
         if args.format == "tsv":
-            lines = [f"{doc_id}\t{r.F:.6g}" for doc_id, r in reports]
-            _write_lines(args.output, lines)
-        else:
-            payload = {
-                "mode": "per_document",
-                "group": {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr},
-                "documents": [
-                    {
-                        "id": doc_id,
-                        "words": r.words,
-                        "sentences": r.sentences,
-                        "complex_words": r.complex_words,
-                        "F": r.F,
-                    }
-                    for doc_id, r in reports
-                ],
-            }
-            _write_text(args.output, report.render_json(payload))
-    _print_warnings(warnings)
-    return 0
+            _write_lines(args.output, (f"{doc_id}\t{r.F:.6g}" for doc_id, r in reports))
+            return
+        payload = {
+            "mode": "per_document",
+            "group": {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr},
+            "documents": [{"id": doc_id, **report._fog_block(r)} for doc_id, r in reports],
+        }
+    _write_text(args.output, report.render_json(payload))
 
 
 def _conflict_record(page_id, score) -> dict:
@@ -280,10 +232,9 @@ def _conflict_record(page_id, score) -> dict:
     }
 
 
-def _cmd_conflict(args) -> int:
+def _cmd_conflict(args, warnings: Counter) -> None:
     # each page's record is written as soon as it is scored, so a dump that
     # fails part-way leaves the records of the pages before the failure
-    warnings: Counter = Counter()
     # (-M, page_id) per page for --ranking: page ids are str, so the tuples
     # sort in ranking order, M descending, then page_id
     ranked = []
@@ -300,15 +251,10 @@ def _cmd_conflict(args) -> int:
             del history, score, record  # hold no page while the next one is read
     if args.ranking:
         ranked.sort()
-        with _open_output(args.ranking) as out:
-            for neg_m, page_id in ranked:
-                out.write(f"{page_id}\t{-neg_m}\n")
-    _print_warnings(warnings)
-    return 0
+        _write_lines(args.ranking, (f"{page_id}\t{-neg_m}" for neg_m, page_id in ranked))
 
 
-def _cmd_compare(args) -> int:
-    warnings: Counter = Counter()
+def _cmd_compare(args, warnings: Counter) -> None:
     docs_a = _load_docs(args.input_a, warnings)
     docs_b = _load_docs(args.input_b, warnings)
     if args.paired:
@@ -327,34 +273,27 @@ def _cmd_compare(args) -> int:
         warnings=warnings,
     )
     _write_text(args.output, report.render_json(result))
-    _print_warnings(warnings)
-    return 0
 
 
-def _cmd_plotdata(args) -> int:
-    warnings: Counter = Counter()
+def _cmd_plotdata(args, warnings: Counter) -> None:
     if args.kind == "pos_dist":
-        tagged = posstats.apply_pos_condition(_load_tagged(args.input, warnings), args.pos_condition)
+        tagged = _load_tagged(args.input, args.pos_condition, warnings)
         table = posstats.tag_ngram_table(tagged, 1, args.boundary)
-        report.emit_plot_data(table, "pos_dist", args.output)
+        try:
+            result = posstats.pos_distribution(table)
+        except ValueError as exc:  # no tagged sentence
+            raise CorplexError(str(exc)) from exc
+    elif args.kind == "ngram_zipf":
+        sections = [lexstats.fold_sentences(g) for g in _doc_sentence_groups(args, warnings)]
+        result = lexstats.count_corpus_ngrams(sections, args.n, args.boundary)
     else:
-        docs = _load_docs(args.input, warnings)
-        cond = sampling.ConditionSpec.parse(args.condition)
-        patterns = _load_patterns(args.exclude_patterns)
-        groups = _doc_sentence_groups(docs, cond, patterns)
+        groups = _doc_sentence_groups(args, warnings)
+        stream = [t.surface for g in groups for s in g for t in s.tokens]
         if args.kind == "zipf":
-            stream = [t.surface for g in groups for s in g for t in s.tokens]
-            report.emit_plot_data(lexstats.zipf_table(stream), "zipf", args.output)
-        elif args.kind == "heaps":
-            stream = [t.surface for g in groups for s in g for t in s.tokens]
-            checkpoints = lexstats.heaps_checkpoints(stream, args.checkpoints)
-            report.emit_plot_data(checkpoints, "heaps", args.output)
-        else:  # ngram_zipf
-            sections = [lexstats.fold_sentences(g) for g in groups]
-            table = lexstats.count_corpus_ngrams(sections, args.n, args.boundary)
-            report.emit_plot_data(table, "ngram_zipf", args.output)
-    _print_warnings(warnings)
-    return 0
+            result = lexstats.zipf_table(stream)
+        else:
+            result = lexstats.heaps_checkpoints(stream, args.checkpoints)
+    report.emit_plot_data(result, args.kind, args.output)
 
 
 def build_parser() -> _Parser:
@@ -458,14 +397,15 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
+    warnings: Counter = Counter()  # the command counts, main reports once it returns
     try:
-        return args.func(args)
-    except CorplexError as exc:
+        args.func(args, warnings)
+    except (CorplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for name in sorted(warnings):
+        print(f"warning: {name} x{warnings[name]}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

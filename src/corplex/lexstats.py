@@ -17,8 +17,10 @@ streams first with fold_sentences when they want folded n-grams.
 
 The entropies and corpus_stats share counts-based cores (entropy_bits,
 folded_counts, corpus_stats_from_types) that read a type -> count table, so
-a caller holding such a table, like report's corpus block, pays per type
-rather than per token.
+a caller holding such a table pays per type rather than per token.
+corpus_measures combines them for the `stats` command and each `compare`
+corpus block; the token-stream functions (type_token_counts,
+unigram_entropy, corpus_stats) stay as public one-shot forms.
 """
 
 from __future__ import annotations
@@ -438,6 +440,25 @@ class CorpusStats(NamedTuple):
     words_per_sentence: float
     separators_per_sentence: float
     content_words_per_subsentence: float
+
+
+def corpus_measures(types: Mapping[Token, int], n_sent: int) -> dict:
+    """V, N, Herdan's C, entropy_bits and corpus_stats of a type table.
+
+    The one core behind `stats` and each `compare` corpus block.  V, N and
+    the entropy read the table merged by lowercased surface; C is None
+    below two types (V <= N, so N >= 2 then holds too).  corpus_stats keeps
+    the CorpusStats field order.
+    """
+    folded = folded_counts(types)
+    V, N = len(folded), sum(folded.values())
+    return {
+        "V": V,
+        "N": N,
+        "C": herdan_c(V, N) if V >= 2 else None,
+        "entropy_bits": entropy_bits(folded.values(), N),
+        "corpus_stats": corpus_stats_from_types(types, n_sent)._asdict(),
+    }
 
 
 def corpus_stats(sentences: Sequence[Sentence]) -> CorpusStats:

@@ -68,26 +68,12 @@ def _fog_block(report: readability.FogReport) -> dict:
 def _corpus_block(sentences: list[Sentence]) -> dict:
     # every measure below reads this one type table, paying per type
     types = type_counts(sentences)
-    folded = lexstats.folded_counts(types)
-    V, N = len(folded), sum(folded.values())
-    stats = lexstats.corpus_stats_from_types(types, len(sentences))
+    block = lexstats.corpus_measures(types, len(sentences))
     try:
-        fog = _fog_block(readability.fog_from_types(types, len(sentences)))
+        block["fog"] = _fog_block(readability.fog_from_types(types, len(sentences)))
     except ValueError:  # no word-kind tokens survived the condition
-        fog = None
-    return {
-        "V": V,
-        "N": N,
-        "C": lexstats.herdan_c(V, N) if V >= 2 and N >= 2 else None,
-        "entropy_bits": lexstats.entropy_bits(folded.values(), N),
-        "fog": fog,
-        "corpus_stats": {
-            "chars_per_word": stats.chars_per_word,
-            "words_per_sentence": stats.words_per_sentence,
-            "separators_per_sentence": stats.separators_per_sentence,
-            "content_words_per_subsentence": stats.content_words_per_subsentence,
-        },
-    }
+        block["fog"] = None
+    return block
 
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -132,8 +118,14 @@ def compare_corpora(
     # every line of either corpus is tokenized once, for fog and all conditions
     lines = sampling.LineCache(exclude_patterns)
 
-    fog_stats_a, _ = readability.corpus_fog(docs_a, warnings=warnings, tokenizer=lines.body_tokens)
-    fog_stats_b, _ = readability.corpus_fog(docs_b, warnings=warnings, tokenizer=lines.body_tokens)
+    fog_stats = {}
+    for side, docs in (("A", docs_a), ("B", docs_b)):
+        try:
+            fog_stats[side], _ = readability.corpus_fog(
+                docs, warnings=warnings, tokenizer=lines.body_tokens)
+        except ValueError as exc:  # no document of the corpus has a word
+            raise CorplexError(f"corpus {side}: {exc}") from exc
+    fog_stats_a, fog_stats_b = fog_stats["A"], fog_stats["B"]
     try:
         t, df, p = readability.welch_t_test(fog_stats_a, fog_stats_b)
         welch_block = {"t": t, "df": df, "p_two_sided": p}

@@ -3,7 +3,10 @@
 Sampling uses a self-contained 64-bit splitmix generator so identical
 (pool order, seed) inputs give identical samples on every platform and
 Python version.  Lines are the balancing atom: whole lines are appended in
-shuffled order until the running size first reaches the target.
+shuffled order until the running size first reaches the target.  There is
+one draw, build_balanced_sample_grouped, which shuffles articles and stops
+inside the one that crosses the target; the line-level
+build_balanced_sample is that draw over one-line articles.
 
 Conditions run through a LineCache, which tokenizes, exclude-checks and
 sentence-splits each distinct line once.  Every processing step is then a
@@ -112,14 +115,6 @@ class ConditionSpec:
         return _CODE_ORDER
 
 
-def line_chars(line: str) -> int:
-    return len(line)
-
-
-def line_words(line: str) -> int:
-    return len(line.split())
-
-
 def _line_size(line: str, unit: str) -> int:
     if unit == CHARACTER:
         return len(line)
@@ -142,8 +137,8 @@ class Sample:
         lines = tuple(lines)
         return cls(
             lines=lines,
-            size_chars=sum(line_chars(l) for l in lines),
-            size_words=sum(line_words(l) for l in lines),
+            size_chars=sum(_line_size(l, CHARACTER) for l in lines),
+            size_words=sum(_line_size(l, WORD_UNIT) for l in lines),
             seed=seed,
         )
 
@@ -161,23 +156,11 @@ def build_balanced_sample(
     """Draw whole lines without replacement until the size first crosses target.
 
     Deterministic for a fixed (pool order, seed).  Raises
-    InsufficientPoolError when the pool runs out short of the target.
+    InsufficientPoolError when the pool runs out short of the target.  This
+    is the grouped draw over one-line groups: the shuffle runs over the same
+    index range, so it picks the same lines.
     """
-    if target_size <= 0:
-        raise ValueError(f"target_size must be > 0, got {target_size}")
-    if unit not in UNITS:
-        raise ValueError(f"bad unit {unit!r}")
-    order = list(range(len(pool)))
-    SplitMix64(seed).shuffle(order)
-    picked: list[str] = []
-    achieved = 0
-    for idx in order:
-        line = pool[idx]
-        picked.append(line)
-        achieved += _line_size(line, unit)
-        if achieved >= target_size:
-            return Sample.from_lines(picked, seed)
-    raise InsufficientPoolError(target_size, achieved, unit)
+    return build_balanced_sample_grouped([(line,) for line in pool], target_size, unit, seed)
 
 
 def build_balanced_sample_grouped(

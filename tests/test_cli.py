@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from corplex import cli
+from corplex import cli, lexstats, sampling
 
 A_DOCS = [
     {"id": "a1", "title": "Alpha",
@@ -405,6 +405,76 @@ class TestInvalidUtf8:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
         assert cli.main(["stats", "-"]) == 2
         assert capsys.readouterr().err == "error: invalid UTF-8 byte 0xe9 [line 2]\n"
+
+
+class TestDegenerateInputs:
+    """An input with nothing to measure is a data error: exit 2, one error line."""
+
+    @pytest.fixture
+    def no_words(self, tmp_path):
+        return write_jsonl(tmp_path / "nowords.jsonl", [{"id": "1", "title": "T", "text": "? ! 123"}])
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        return str(path)
+
+    def exits_with_one_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_pooled_fog_without_words(self, no_words, capsys):
+        self.exits_with_one_error(["fog", no_words, "--pooled"], capsys)
+
+    def test_pos_on_empty_tagged_files(self, empty, capsys):
+        self.exits_with_one_error(["pos", empty, empty], capsys)
+
+    def test_pos_dist_on_empty_tagged_file(self, empty, tmp_path, capsys):
+        out = tmp_path / "dist.tsv"
+        self.exits_with_one_error(["plotdata", empty, "--kind", "pos_dist", "-o", str(out)], capsys)
+        assert not out.exists()
+
+    def test_compare_without_words(self, no_words, capsys):
+        err = self.exits_with_one_error(["compare", no_words, no_words], capsys)
+        assert err == "error: corpus A: every document was skipped\n"
+
+
+def test_write_lines_does_not_join_its_lines(tmp_path):
+    lines = [f"{i:0100d}" for i in range(100_000)]  # 100 characters each, about 10 MB joined
+    out = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        cli._write_lines(str(out), lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak {peak} B"
+    assert out.read_text() == "".join(line + "\n" for line in lines)
+
+
+class TestStatsMatchesCompare:
+    """stats on A under a condition measures exactly what compare's A block does."""
+
+    def test_every_condition(self, capsys):
+        data = Path(__file__).parent / "data"
+        a, b = str(data / "golden" / "extracted_a.jsonl"), str(data / "golden" / "extracted_b.jsonl")
+        ratios = lexstats.CorpusStats._fields
+        n_tokens = {}
+        for extra in ([], ["--exclude-patterns", str(data / "exclude_patterns.txt")]):
+            assert cli.main(["compare", a, b, *extra]) == 0
+            blocks = json.loads(capsys.readouterr().out)["conditions"]
+            for code in sampling.ConditionSpec.all_codes():
+                assert cli.main(["stats", a, "--condition", code, *extra]) == 0
+                stats = json.loads(capsys.readouterr().out)
+                block = blocks[code]["a"]
+                for key in ("V", "N", "C", "entropy_bits"):
+                    assert stats[key] == block[key], (code, extra, key)
+                assert {k: stats[k] for k in ratios} == block["corpus_stats"], (code, extra)
+            n_tokens[bool(extra)] = blocks["WB"]["a"]["N"]
+        assert 0 < n_tokens[True] < n_tokens[False]  # the patterns drop some of A's lines
 
 
 class TestCompare:

@@ -29,7 +29,3 @@ def test_output_matches_golden(name, args, tmp_path):
     for file_name, data in outputs.items():
         assert data == (gen_goldens.GOLDEN / file_name).read_bytes(), file_name
 
-
-def test_table_names_are_unique():
-    names = [name for name, _ in gen_goldens.RUNS]
-    assert len(names) == len(set(names))

@@ -130,6 +130,37 @@ class TestBalancedSample:
             assert sample.size_words >= target
 
 
+def old_line_draw(pool, target_size, unit, seed):
+    """The line-level draw as it was before it became the grouped one."""
+    order = list(range(len(pool)))
+    SplitMix64(seed).shuffle(order)
+    picked, achieved = [], 0
+    for idx in order:
+        picked.append(pool[idx])
+        achieved += len(pool[idx]) if unit == CHARACTER else len(pool[idx].split())
+        if achieved >= target_size:
+            return Sample.from_lines(picked, seed)
+    raise InsufficientPoolError(target_size, achieved, unit)
+
+
+@given(
+    st.lists(st.text(alphabet=" ab\t", max_size=12), max_size=30),
+    st.integers(min_value=1, max_value=80),
+    st.sampled_from([CHARACTER, WORD_UNIT]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_line_draw_is_the_old_one(pool, target, unit, seed):
+    try:
+        expected = old_line_draw(pool, target, unit, seed)
+    except InsufficientPoolError as exc:
+        with pytest.raises(InsufficientPoolError) as err:
+            build_balanced_sample(pool, target, unit, seed)
+        assert str(err.value) == str(exc)
+        assert (err.value.target, err.value.achieved, err.value.unit) == (exc.target, exc.achieved, exc.unit)
+    else:
+        assert build_balanced_sample(pool, target, unit, seed) == expected
+
+
 class TestRatios:
     def test_size_ratio_and_balance(self):
         a = Sample.from_lines(["x " * 499 + "x"], seed=0)  # 500 words
