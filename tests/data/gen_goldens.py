@@ -32,6 +32,9 @@ SRC = HERE.parents[1] / "src"
 
 A = "golden/extracted_a.jsonl"
 B = "golden/extracted_b.jsonl"
+# hand-written: literal section signs, case variants, dotted capital I and
+# sentences of punctuation alone
+EDGE = "edge_cases.jsonl"
 PATTERNS = ["--exclude-patterns", "exclude_patterns.txt"]
 
 # (name, arguments); "{out}" is the path prefix of the run's output files
@@ -40,10 +43,20 @@ RUNS = [
     ("extract_b", ["extract", "mini_dump_b.xml", "-o", "{out}/extracted_b.jsonl"]),
     ("sample", ["sample", A, "--target", "2000", "--seed", "7", "-o", "{out}/sample"]),
     ("compare", ["compare", A, B, "--seed", "42", "-o", "{out}/compare.json"]),
+    ("compare_edge_raw_n5", ["compare", EDGE, B, "--boundary", "raw", "--ngram-max-n", "5",
+                             "--seed", "3", "-o", "{out}/compare_edge_raw_n5.json"]),
+    ("compare_edge_subset_x", ["compare", EDGE, B, "--conditions", "WNP,CB,WN", *PATTERNS,
+                               "--seed", "5", "-o", "{out}/compare_edge_subset_x.json"]),
+    ("compare_edge_self_n1", ["compare", EDGE, EDGE, "--ngram-max-n", "1", "--seed", "9",
+                              "-o", "{out}/compare_edge_self_n1.json"]),
+    ("compare_subset_x_n4", ["compare", A, B, "--conditions", "CNP,WBP", *PATTERNS,
+                             "--ngram-max-n", "4", "--seed", "1",
+                             "-o", "{out}/compare_subset_x_n4.json"]),
     ("conflict", ["conflict", "history.xml", "--ranking", "{out}/ranking.tsv",
                   "-o", "{out}/conflict.jsonl"]),
     ("stats_WB", ["stats", A, "-o", "{out}/stats_WB.json"]),
     ("stats_WB_tsv", ["stats", A, "--format", "tsv", "-o", "{out}/stats_WB.tsv"]),
+    ("stats_edge_WB", ["stats", EDGE, "-o", "{out}/stats_edge_WB.json"]),
     *[
         (f"stats_{code}_x", ["stats", A, "--condition", code, *PATTERNS,
                              "-o", f"{{out}}/stats_{code}_x.json"])
