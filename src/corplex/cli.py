@@ -97,6 +97,14 @@ def _doc_sentence_groups(args, warnings: Counter) -> list:
     return [sampling.apply_condition(sampling.doc_lines(doc), cond, patterns) for doc in docs]
 
 
+def _sentence_groups(args, warnings: Counter) -> list:
+    """_doc_sentence_groups, or a data error when no document has a sentence."""
+    groups = _doc_sentence_groups(args, warnings)
+    if not any(groups):
+        raise CorplexError("no sentences left after processing")
+    return groups
+
+
 def _cmd_extract(args, warnings: Counter) -> None:
     docs = parse_article_dump(
         _input(args.input),
@@ -123,9 +131,7 @@ def _cmd_sample(args, warnings: Counter) -> None:
 
 
 def _cmd_stats(args, warnings: Counter) -> None:
-    sentences = [s for g in _doc_sentence_groups(args, warnings) for s in g]
-    if not sentences:
-        raise CorplexError("no sentences left after processing")
+    sentences = [s for g in _sentence_groups(args, warnings) for s in g]
     measures = lexstats.corpus_measures(type_counts(sentences), len(sentences))
     ratios = measures.pop("corpus_stats")
     payload = {"condition": args.condition, **measures, **ratios}
@@ -185,6 +191,8 @@ def _cmd_pos(args, warnings: Counter) -> None:
 
 
 def _cmd_fog(args, warnings: Counter) -> None:
+    if args.pooled and args.format == "tsv":  # the pooled record has no TSV form
+        args.usage_error("argument --format: tsv not allowed with argument --pooled")
     docs = _load_docs(args.input, warnings)
     if not docs:
         raise CorplexError("no documents")
@@ -284,10 +292,10 @@ def _cmd_plotdata(args, warnings: Counter) -> None:
         except ValueError as exc:  # no tagged sentence
             raise CorplexError(str(exc)) from exc
     elif args.kind == "ngram_zipf":
-        sections = [lexstats.fold_sentences(g) for g in _doc_sentence_groups(args, warnings)]
+        sections = [lexstats.fold_sentences(g) for g in _sentence_groups(args, warnings)]
         result = lexstats.count_corpus_ngrams(sections, args.n, args.boundary)
     else:
-        groups = _doc_sentence_groups(args, warnings)
+        groups = _sentence_groups(args, warnings)
         stream = [t.surface for g in groups for s in g for t in s.tokens]
         if args.kind == "zipf":
             result = lexstats.zipf_table(stream)
@@ -353,7 +361,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pooled", action="store_true")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
     p.add_argument("--output", "-o", default="-")
-    p.set_defaults(func=_cmd_fog)
+    p.set_defaults(func=_cmd_fog, usage_error=p.error)
 
     p = sub.add_parser("conflict", help="controversy scores from a history dump")
     p.add_argument("input")

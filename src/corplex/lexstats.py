@@ -15,12 +15,16 @@ heaps_*) fold surfaces to lowercase.  n-gram counting does not fold: its
 symbols may be POS tags, where case is meaningful.  Callers fold word
 streams first with fold_sentences when they want folded n-grams.
 
-The entropies and corpus_stats share counts-based cores (entropy_bits,
-folded_counts, corpus_stats_from_types) that read a type -> count table, so
-a caller holding such a table pays per type rather than per token.
-corpus_measures combines them for the `stats` command and each `compare`
-corpus block; the token-stream functions (type_token_counts,
-unigram_entropy, corpus_stats) stay as public one-shot forms.
+The entropies and corpus_stats share one counts-based core: tally_types
+reads a type -> count table once, one textpipe.TypeFacts record per type,
+and gives the table folded by lowercase together with every tally the
+corpus ratios and fog need, so a caller holding such a table pays per type
+rather than per token.  corpus_measures turns a tally into V, N, C, entropy
+and the ratios for the `stats` command and each `compare` corpus block, and
+folded_unigram_table turns its folded counts into the postprocessed n = 1
+table without counting windows.  The token-stream functions
+(type_token_counts, unigram_entropy, corpus_stats) stay as public one-shot
+forms.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from collections import Counter, _count_elements
 from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .textpipe import PUNCTUATION, Sentence, SUBSENTENCE_SEPARATORS, Token, WORD, type_counts
+from .textpipe import Sentence, Token, type_counts, type_facts
 
 BOUNDARY = "§"
 
@@ -97,9 +101,13 @@ class HeapsFit(NamedTuple):
 
 
 def fold_sentences(sentences: Iterable[Sentence]) -> list[tuple[str, ...]]:
-    """Each sentence as a tuple of lowercased surfaces, ready for n-gram counting."""
+    """Each sentence as a tuple of lowercased surfaces, ready for n-gram counting.
+
+    The surfaces are the type records' lowercase strings, so every folded
+    corpus shares one string per type.
+    """
     groups = [s.tokens for s in sentences]
-    lower = {tok: tok.surface.lower() for tok in set(chain.from_iterable(groups))}
+    lower = {tok: type_facts(tok).lower for tok in set(chain.from_iterable(groups))}
     return [tuple(map(lower.__getitem__, tokens)) for tokens in groups]
 
 
@@ -111,12 +119,7 @@ def _fold_stream(tokens: Iterable) -> Iterable[str]:
 
 def folded_counts(types: Mapping[Token, int]) -> dict[str, int]:
     """A token-type -> count table merged by lowercased surface."""
-    folded: dict[str, int] = {}
-    get = folded.get
-    for tok, count in types.items():
-        surface = tok.surface.lower()
-        folded[surface] = get(surface, 0) + count
-    return folded
+    return tally_types(types).folded
 
 
 def type_token_counts(tokens: Iterable) -> tuple[int, int]:
@@ -442,23 +445,85 @@ class CorpusStats(NamedTuple):
     content_words_per_subsentence: float
 
 
+class TypeTally(NamedTuple):
+    """One pass over a token-type -> count table."""
+
+    folded: dict[str, int]  # lowercased surface -> count
+    tokens: int
+    words: int  # word-kind tokens
+    word_chars: int  # characters over word-kind tokens
+    separators: int  # subsentence separators over punctuation tokens
+    content: int  # tokens not of the punctuation kind
+    complex_words: int  # word-kind tokens of three or more syllables
+
+    def corpus_stats(self, n_sent: int) -> CorpusStats:
+        """The CorpusStats of the tallied tokens over n_sent sentences."""
+        if n_sent < 1:
+            raise ValueError("corpus_stats needs at least one sentence")
+        subsentences = self.separators + n_sent
+        return CorpusStats(
+            chars_per_word=self.word_chars / self.words if self.words else 0.0,
+            words_per_sentence=self.tokens / n_sent,
+            separators_per_sentence=self.separators / n_sent,
+            content_words_per_subsentence=self.content / subsentences,
+        )
+
+
+def tally_types(types: Mapping[Token, int]) -> TypeTally:
+    """Fold and tally a type table, reading each type's record once."""
+    folded: dict[str, int] = {}
+    get = folded.get
+    tokens = words = word_chars = separators = content = complex_words = 0
+    for tok, count in types.items():
+        lower, word_length, seps, punctuation, complex_word = type_facts(tok)
+        folded[lower] = get(lower, 0) + count
+        tokens += count
+        if word_length:
+            words += count
+            word_chars += word_length * count
+            if complex_word:
+                complex_words += count
+        if punctuation:
+            separators += seps * count
+        else:
+            content += count
+    return TypeTally(folded, tokens, words, word_chars, separators, content, complex_words)
+
+
 def corpus_measures(types: Mapping[Token, int], n_sent: int) -> dict:
     """V, N, Herdan's C, entropy_bits and corpus_stats of a type table.
 
-    The one core behind `stats` and each `compare` corpus block.  V, N and
-    the entropy read the table merged by lowercased surface; C is None
-    below two types (V <= N, so N >= 2 then holds too).  corpus_stats keeps
-    the CorpusStats field order.
+    The one core behind `stats` and each `compare` corpus block (which
+    tallies the table itself, to reuse the tally, and calls
+    tally_measures).  V, N and the entropy read the table merged by
+    lowercased surface; C is None below two types (V <= N, so N >= 2 then
+    holds too).  corpus_stats keeps the CorpusStats field order.
     """
-    folded = folded_counts(types)
-    V, N = len(folded), sum(folded.values())
+    return tally_measures(tally_types(types), n_sent)
+
+
+def tally_measures(tally: TypeTally, n_sent: int) -> dict:
+    """corpus_measures of the table that tally_types gave tally for."""
+    folded = tally.folded
+    V, N = len(folded), tally.tokens
     return {
         "V": V,
         "N": N,
         "C": herdan_c(V, N) if V >= 2 else None,
         "entropy_bits": entropy_bits(folded.values(), N),
-        "corpus_stats": corpus_stats_from_types(types, n_sent)._asdict(),
+        "corpus_stats": tally.corpus_stats(n_sent)._asdict(),
     }
+
+
+def folded_unigram_table(folded: dict[str, int]) -> CountTable:
+    """The postprocessed n = 1 table of a corpus, from its folded type counts.
+
+    Equal to ngram_counts(fold_sentences(sentences), 1) for the sentences
+    the counts were tallied from: at n = 1 the boundary rule drops every
+    window holding a marker, and so the key of a literal marker surface
+    too.  The table owns a new dict; folded is left as it is.
+    """
+    return CountTable._owning(1, {(w,): c for w, c in folded.items() if w != BOUNDARY})
 
 
 def corpus_stats(sentences: Sequence[Sentence]) -> CorpusStats:
@@ -474,22 +539,4 @@ def corpus_stats(sentences: Sequence[Sentence]) -> CorpusStats:
 
 def corpus_stats_from_types(types: Mapping[Token, int], n_sent: int) -> CorpusStats:
     """corpus_stats from a token-type -> count table and a sentence count."""
-    if n_sent < 1:
-        raise ValueError("corpus_stats needs at least one sentence")
-    word_chars = words = tokens = separators = content = 0
-    for tok, count in types.items():
-        tokens += count
-        if tok.kind == WORD:
-            words += count
-            word_chars += len(tok.surface) * count
-        if tok.kind == PUNCTUATION:
-            separators += sum(ch in SUBSENTENCE_SEPARATORS for ch in tok.surface) * count
-        else:
-            content += count
-    subsentences = separators + n_sent
-    return CorpusStats(
-        chars_per_word=word_chars / words if words else 0.0,
-        words_per_sentence=tokens / n_sent,
-        separators_per_sentence=separators / n_sent,
-        content_words_per_subsentence=content / subsentences,
-    )
+    return tally_types(types).corpus_stats(n_sent)

@@ -4,11 +4,11 @@ Implements the classic five-step algorithm over the consonant/vowel measure
 m, where every word has the form [C](VC)^m[V].  Within a step the longest
 matching suffix decides the rule; if that rule's condition fails, no shorter
 suffix in the same step is tried.  Words of length <= 2 are left alone.
+porter_stem keeps no cache of its own: textpipe.stem_token stems each
+surface once per process.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 _VOWELS = "aeiou"
 
@@ -220,7 +220,6 @@ def _step5(w: str) -> str:
     return w
 
 
-@lru_cache(maxsize=131072)
 def porter_stem(word: str) -> str:
     """Stem a word; non-alphabetic input comes back unchanged.
 

@@ -1,8 +1,11 @@
 """Gunning fog readability and Welch's t-test for group comparisons.
 
 The fog word count covers word-kind tokens only: punctuation and numerals
-never enter the words or complex-words tallies.  Group uncertainty follows
-the mean +/- standard error convention, stderr = sqrt(variance / n).
+never enter the words or complex-words tallies.  Whether a word is complex
+is read from its type's record (textpipe.type_facts), so the syllables of a
+word type are counted once per process, not once per report.  Group
+uncertainty follows the mean +/- standard error convention,
+stderr = sqrt(variance / n).
 """
 
 from __future__ import annotations
@@ -11,15 +14,7 @@ import math
 from collections import Counter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .textpipe import (
-    Sentence,
-    Token,
-    WORD,
-    is_complex_word,
-    split_sentences,
-    tokenize,
-    type_counts,
-)
+from .textpipe import Sentence, Token, split_sentences, tokenize, type_counts, type_facts
 
 
 class FogReport(NamedTuple):
@@ -72,9 +67,10 @@ def fog_from_types(types: Mapping[Token, int], n_sent: int) -> FogReport:
     words = 0
     complex_words = 0
     for tok, count in types.items():
-        if tok.kind == WORD:
+        facts = type_facts(tok)
+        if facts.word_length:
             words += count
-            if is_complex_word(tok.surface):
+            if facts.complex:
                 complex_words += count
     return FogReport.from_counts(words, n_sent, complex_words)
 

@@ -65,15 +65,20 @@ def _fog_block(report: readability.FogReport) -> dict:
     }
 
 
-def _corpus_block(sentences: list[Sentence]) -> dict:
-    # every measure below reads this one type table, paying per type
-    types = type_counts(sentences)
-    block = lexstats.corpus_measures(types, len(sentences))
+def _corpus_block(sentences: list[Sentence]) -> tuple[dict, dict[str, int]]:
+    """A corpus's block and its types folded by lowercase.
+
+    One pass over the type table reads each type's record once and tallies
+    everything V, N, C, the entropy, the ratios and fog need.
+    """
+    tally = lexstats.tally_types(type_counts(sentences))
+    block = lexstats.tally_measures(tally, len(sentences))
     try:
-        block["fog"] = _fog_block(readability.fog_from_types(types, len(sentences)))
+        fog = readability.FogReport.from_counts(tally.words, len(sentences), tally.complex_words)
+        block["fog"] = _fog_block(fog)
     except ValueError:  # no word-kind tokens survived the condition
         block["fog"] = None
-    return block
+    return block, tally.folded
 
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -160,6 +165,9 @@ def _condition_blocks(
     and stemming policies share A's sentences, corpus block and n-gram
     tables.  For each n, A's table is counted once and then each code's B
     table, so no more tables are alive at once than with one code at a time.
+    Under the postprocessed policy the n = 1 tables are built from the
+    corpus blocks' folded type counts, which are dropped once used, and
+    sentences are folded for counting only when some n >= 2 needs them.
     Each code meets its errors in the order one-code-at-a-time evaluation
     would, and the error raised is that of the earliest failing code in the
     caller's order; codes after a failure are left unmeasured.
@@ -179,14 +187,23 @@ def _condition_blocks(
             break
         processings.setdefault((cond.punctuation, cond.stemming), []).append((i, cond))
 
+    unigrams_from_types = lexstats._POLICIES.get(boundary_policy) == "postprocessed"
+    fold = ngram_max_n > 1 or not unigrams_from_types
+
+    def table(unigrams, folded, n):
+        if n == 1 and unigrams_from_types:
+            return lexstats.folded_unigram_table(unigrams)
+        return lexstats.ngram_counts(folded, n, boundary_policy)
+
     blocks: dict[int, dict] = {}
     for members in processings.values():
         sentences_a = lines.apply(sample_a.lines, members[0][1])
         try:
-            block_a, error_a = _corpus_block(sentences_a), None
+            (block_a, unigrams_a), error_a = _corpus_block(sentences_a), None
         except ValueError as exc:
-            block_a, error_a = None, exc
+            block_a, unigrams_a, error_a = None, None, exc
         folded_b = {}  # position -> B's sentences folded for counting
+        unigrams_b = {}  # position -> B's folded type counts, until n = 1 is built
         for i, cond in members:
             if not measured(i):
                 continue
@@ -198,11 +215,12 @@ def _condition_blocks(
                 if error_a is not None:
                     raise error_a
                 sentences_b = lines.apply(sample_b.lines, cond)
-                block_b = _corpus_block(sentences_b)
+                block_b, unigrams_b[i] = _corpus_block(sentences_b)
             except (ValueError, CorplexError) as exc:
                 errors[i] = exc
                 continue
-            folded_b[i] = lexstats.fold_sentences(sentences_b)
+            folded_b[i] = lexstats.fold_sentences(sentences_b) if fold else None
+            del sentences_b
             c_a, c_b = block_a["C"], block_b["C"]
             block = blocks[i] = {
                 "a": copy.deepcopy(block_a),  # each code owns its blocks
@@ -224,21 +242,23 @@ def _condition_blocks(
             block_b["ngram_entropy_bits"] = {}
 
         # each table serves both its corpus's entropy and the A/B cosine
-        folded_a = lexstats.fold_sentences(sentences_a)
+        folded_a = lexstats.fold_sentences(sentences_a) if fold else None
+        del sentences_a
         for n in range(1, ngram_max_n + 1):
             live = [i for i in folded_b if measured(i)]
             if not live:
                 break
             key = str(n)
             try:
-                table_a = lexstats.ngram_counts(folded_a, n, boundary_policy)
+                table_a = table(unigrams_a, folded_a, n)
             except ValueError as exc:
                 errors.update(dict.fromkeys(live, exc))
                 break
+            unigrams_a = None
             entropy_a = lexstats.table_entropy(table_a) if table_a.total else 0.0
             for i in live:
                 try:
-                    table_b = lexstats.ngram_counts(folded_b[i], n, boundary_policy)
+                    table_b = table(unigrams_b.pop(i, None), folded_b[i], n)
                     similarity, angle = posstats.cosine_angle(table_a, table_b)
                 except ValueError as exc:
                     errors[i] = exc

@@ -9,11 +9,14 @@ inside the one that crosses the target; the line-level
 build_balanced_sample is that draw over one-line articles.
 
 Conditions run through a LineCache, which tokenizes, exclude-checks and
-sentence-splits each distinct line once.  Every processing step is then a
-function of the token type alone, so a condition is a per-type map over the
-cached sentences: punctuation strip drops a type, Porter maps a word type
-to its stem (the token keeps its kind).  apply_condition is the one-shot
-use of a cache, with the signature and results it always had.
+sentence-splits each distinct line once, and keeps for it only the raw
+sentences and whether it is excluded; a line's tokens are its sentences'
+tokens joined.  Every processing step is then a function of the token type
+alone, so a condition is a per-type map over the cached sentences, made for
+one apply call from the types it meets: punctuation strip drops a type,
+Porter maps a word type to its stem through the process-wide stem table
+(textpipe.stem_token; the token keeps its kind).  apply_condition is the
+one-shot use of a cache, with the signature and results it always had.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InsufficientPoolError
-from .porter import porter_stem
 from .textpipe import (
     Sentence,
     Token,
@@ -31,6 +33,7 @@ from .textpipe import (
     detokenize,
     is_punctuation_mark,
     split_sentences,
+    stem_token,
     tokenize,
 )
 
@@ -224,58 +227,52 @@ class LineCache:
     Lines whose space-joined token text contains any exclude pattern are
     dropped whole (case-sensitive substring match).  Sentences are split
     before any condition step, so boundary marks do their job even where
-    punctuation is stripped later.
+    punctuation is stripped later.  Per line the cache keeps the raw
+    sentences and, in a set, whether the line is excluded: split_sentences
+    partitions the tokens, so joining the sentences gives them back.
     """
 
     def __init__(self, exclude_patterns: Sequence[str] | None = None):
         self._patterns = tuple(exclude_patterns or ())
-        self._tokens: dict[str, list[Token]] = {}
-        self._sentences: dict[str, list[Sentence]] = {}
-        self._stems: dict[str, Token] = {}
-        # (strip, stem) -> token type -> processed token, None when dropped
-        self._maps: dict[tuple[bool, bool], dict[Token, Token | None]] = {}
+        self._split: dict[str, list[Sentence]] = {}
+        self._excluded: set[str] = set()
+
+    def _raw(self, line: str) -> list[Sentence]:
+        """The line's sentences, excluded or not."""
+        sents = self._split.get(line)
+        if sents is None:
+            toks = tokenize(line)
+            sents = self._split[line] = split_sentences(toks)
+            if toks and self._patterns:
+                joined = detokenize(toks)
+                if any(p in joined for p in self._patterns):
+                    self._excluded.add(line)
+        return sents
 
     def tokens(self, line: str) -> list[Token]:
-        """tokenize(line), computed once per distinct line."""
-        toks = self._tokens.get(line)
-        if toks is None:
-            toks = self._tokens[line] = tokenize(line)
-        return toks
+        """tokenize(line), from the line's cached sentences."""
+        return [tok for sentence in self._raw(line) for tok in sentence.tokens]
 
     def body_tokens(self, body: str) -> list[Token]:
-        """tokenize(body), assembled from the cached tokens of its lines.
+        """tokenize(body), assembled from the cached sentences of its lines.
 
         Equal because every line break is whitespace to str.split, so no
         whitespace chunk spans two lines, and blank lines hold no chunk.
         """
-        return [tok for line in doc_lines(body) for tok in self.tokens(line)]
+        return [tok for line in doc_lines(body) for sentence in self._raw(line)
+                for tok in sentence.tokens]
 
     def sentences(self, line: str) -> list[Sentence]:
         """The line's raw sentences; none if it is blank or excluded."""
-        sents = self._sentences.get(line)
-        if sents is None:
-            toks = self.tokens(line)
-            if not toks or self._excluded(toks):
-                sents = []
-            else:
-                sents = split_sentences(toks)
-            self._sentences[line] = sents
-        return sents
+        sents = self._raw(line)
+        return [] if line in self._excluded else sents
 
-    def _excluded(self, toks: list[Token]) -> bool:
-        if not self._patterns:
-            return False
-        joined = detokenize(toks)
-        return any(p in joined for p in self._patterns)
-
-    def _process(self, tok: Token, strip: bool, stem: bool) -> Token | None:
+    @staticmethod
+    def _process(tok: Token, strip: bool, stem: bool) -> Token | None:
         if strip and is_punctuation_mark(tok):
             return None
         if stem and tok.kind == WORD:
-            stemmed = self._stems.get(tok.surface)
-            if stemmed is None:  # shared by both stemming maps: one call per word type
-                stemmed = self._stems[tok.surface] = Token(porter_stem(tok.surface), WORD)
-            return stemmed
+            return stem_token(tok.surface)
         return tok
 
     def apply(self, lines: Iterable[str], cond: ConditionSpec) -> list[Sentence]:
@@ -285,9 +282,8 @@ class LineCache:
         stem = cond.stemming == "porter"
         if not (strip or stem):
             return raw
-        type_map = self._maps.setdefault((strip, stem), {})
-        for tok in set(chain.from_iterable(s.tokens for s in raw)).difference(type_map):
-            type_map[tok] = self._process(tok, strip, stem)
+        type_map = {tok: self._process(tok, strip, stem)
+                    for tok in set(chain.from_iterable(s.tokens for s in raw))}
         lookup = type_map.__getitem__
         out: list[Sentence] = []
         for sentence in raw:

@@ -1,18 +1,33 @@
-"""Deterministic tokenization, sentence splitting, punctuation filtering and
-syllable counting.
+"""Deterministic tokenization, sentence splitting, punctuation filtering,
+syllable counting, and the per-type record every measure reads.
 
-Everything here is pure and order-preserving, so documents can be processed
-in parallel with no shared state.  The punctuation set is the nine characters
-,.?();"!: and nothing else; hyphens and apostrophes stay inside tokens.
+Tokenizing and splitting are pure and order-preserving.  The punctuation set
+is the nine characters ,.?();"!: and nothing else; hyphens and apostrophes
+stay inside tokens.
+
+Three process-wide tables hold one entry per token type, so the work done
+for a type is done once however many corpora, conditions and documents it
+turns up in:
+
+- the interning table, surface -> Token, so equal tokens share one object;
+- the record table, Token -> TypeFacts: the lowercase form (the surface
+  object itself when already lowercase), the word length, the subsentence
+  separator count, the punctuation flag and the complex-word flag.  Folding,
+  corpus ratios, V, N, entropies and fog all read it;
+- the stem table, surface -> the Porter stem's Token.
+
+Each is a plain dict cleared when it reaches TYPE_TABLE_SIZE entries, which
+bounds memory; a cleared entry is computed again, with the same result.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, NamedTuple
+
+from .porter import porter_stem
 
 WORD = "word"
 PUNCTUATION = "punctuation"
@@ -41,7 +56,6 @@ class Sentence(NamedTuple):
         return tuple(t.surface for t in self.tokens)
 
 
-@lru_cache(maxsize=65536)
 def classify(surface: str) -> str:
     """Token kind: word if it has a letter, number if it has a digit, else punctuation."""
     if any(c.isalpha() for c in surface):
@@ -51,10 +65,25 @@ def classify(surface: str) -> str:
     return PUNCTUATION
 
 
-@lru_cache(maxsize=65536)
+#: entries a per-type table holds before it is cleared
+TYPE_TABLE_SIZE = 65536
+
+
+def _store(table: dict, key, value):
+    """table[key] = value, the table cleared first when it is full; returns value."""
+    if len(table) >= TYPE_TABLE_SIZE:
+        table.clear()
+    table[key] = value
+    return value
+
+
+# one shared Token per type, so cached sentences cost a reference per token
+_TOKENS: dict[str, Token] = {}
+
+
 def _token(surface: str) -> Token:
-    # one shared Token per type, so cached token lists cost a reference each
-    return Token(surface, classify(surface))
+    # a Token, a TypeFacts and a stem Token are non-empty tuples, never falsy
+    return _TOKENS.get(surface) or _store(_TOKENS, surface, Token(surface, classify(surface)))
 
 
 def tokenize(text: str) -> list[Token]:
@@ -199,7 +228,6 @@ _SYLLABLE_EXCEPTIONS = {
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
 
-@lru_cache(maxsize=65536)
 def count_syllables(word: str) -> int:
     """Approximate syllable count: maximal vowel groups, silent final e
     subtracted (unless the word ends in consonant + 'le'), clamped to >= 1.
@@ -222,3 +250,49 @@ def count_syllables(word: str) -> int:
 def is_complex_word(word: str) -> bool:
     """Three or more syllables."""
     return count_syllables(word) >= 3
+
+
+class TypeFacts(NamedTuple):
+    """What every measure needs to know about one token type."""
+
+    lower: str  # the surface lowercased; the surface object itself if already lowercase
+    word_length: int  # characters of a word-kind token, 0 for any other kind
+    separators: int  # subsentence separators in a punctuation token, else 0
+    punctuation: bool  # kind is PUNCTUATION
+    complex: bool  # a word of three or more syllables
+
+
+_FACTS: dict[Token, TypeFacts] = {}
+
+
+def _facts(tok: Token) -> TypeFacts:
+    surface, kind = tok
+    lower = surface.lower()
+    if lower == surface:
+        lower = surface  # one string object for the surface and its folded form
+    is_word = kind == WORD
+    is_punct = kind == PUNCTUATION
+    return TypeFacts(
+        lower,
+        len(surface) if is_word else 0,
+        sum(ch in SUBSENTENCE_SEPARATORS for ch in surface) if is_punct else 0,
+        is_punct,
+        is_word and is_complex_word(surface),
+    )
+
+
+def type_facts(tok: Token) -> TypeFacts:
+    """The token type's record, made the first time the type turns up."""
+    return _FACTS.get(tok) or _store(_FACTS, tok, _facts(tok))
+
+
+_STEMS: dict[str, Token] = {}
+
+
+def stem_token(surface: str) -> Token:
+    """The Token of porter_stem(surface) for a word, computed once per surface.
+
+    A word's stem is a word: the stem of an alphabetic word is alphabetic,
+    and any other word comes back unchanged.
+    """
+    return _STEMS.get(surface) or _store(_STEMS, surface, _token(porter_stem(surface)))

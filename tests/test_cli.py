@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from corplex import cli, lexstats, sampling
+from corplex import cli, lexstats, sampling, textpipe
 
 A_DOCS = [
     {"id": "a1", "title": "Alpha",
@@ -264,6 +264,16 @@ class TestFog:
         assert len(lines) == 3
         assert lines[0].startswith("a1\t")
 
+    def test_pooled_tsv_is_a_usage_error(self, corpus_a, capsys):
+        # the pooled record has no TSV form, so the pair is refused, not ignored
+        with pytest.raises(SystemExit) as err:
+            cli.main(["fog", corpus_a, "--pooled", "--format", "tsv"])
+        assert err.value.code == 1
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert [line for line in stderr.splitlines() if "error:" in line] == [
+            "corplex fog: error: argument --format: tsv not allowed with argument --pooled"]
+
     def test_pooled(self, corpus_a, capsys):
         assert cli.main(["fog", corpus_a, "--pooled"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -441,6 +451,14 @@ class TestDegenerateInputs:
         err = self.exits_with_one_error(["compare", no_words, no_words], capsys)
         assert err == "error: corpus A: every document was skipped\n"
 
+    @pytest.mark.parametrize("kind", ["zipf", "heaps", "ngram_zipf"])
+    def test_plotdata_without_sentences(self, kind, tmp_path, capsys):
+        empty = write_jsonl(tmp_path / "empty.jsonl", [])
+        out = tmp_path / "plot.tsv"
+        err = self.exits_with_one_error(["plotdata", empty, "--kind", kind, "-o", str(out)], capsys)
+        assert err == "error: no sentences left after processing\n"
+        assert not out.exists()
+
 
 def test_write_lines_does_not_join_its_lines(tmp_path):
     lines = [f"{i:0100d}" for i in range(100_000)]  # 100 characters each, about 10 MB joined
@@ -496,6 +514,25 @@ class TestCompare:
                          "--conditions", "WB", "-o", str(path)]) == 0
         assert json.loads(path.read_text())["corpus_b"]["documents"] == 3
 
+    def test_each_type_measured_once(self, tmp_path, monkeypatch):
+        # the per-type records: syllables and stems are computed once per
+        # distinct type over the whole run, however many blocks and fog
+        # reports read them
+        for table in (textpipe._TOKENS, textpipe._FACTS, textpipe._STEMS):
+            table.clear()
+        calls = {}
+        for name in ("count_syllables", "porter_stem"):
+            def counting(word, real=getattr(textpipe, name), name=name):
+                calls[name, word] = calls.get((name, word), 0) + 1
+                return real(word)
+            monkeypatch.setattr(textpipe, name, counting)
+        golden = Path(__file__).parent / "data" / "golden"
+        assert cli.main(["compare", str(golden / "extracted_a.jsonl"),
+                         str(golden / "extracted_b.jsonl"), "-o", str(tmp_path / "c.json")]) == 0
+        assert {name for name, _ in calls} == {"count_syllables", "porter_stem"}
+        repeated = {key: n for key, n in calls.items() if n > 1}
+        assert not repeated, sorted(repeated.items())[:5]
+
     def test_paired_without_matches(self, corpus_a, tmp_path, capsys):
         other = write_jsonl(tmp_path / "c.jsonl",
                             [{"id": "c1", "title": "Zeta", "text": "Words here."}])
@@ -545,6 +582,7 @@ class TestPlotdata:
     ["compare", "{a}", "{a}", "--conditions", "WB,wb"],
     ["compare", "{a}", "{a}", "--ngram-max-n", "0"],
     ["ngram", "{a}", "--n", "1", "--processes", "0"],
+    ["fog", "{a}", "--pooled", "--format", "tsv"],
 ])
 def test_out_of_range_arguments_are_usage_errors(args, corpus_a, tags, tmp_path, capsys):
     argv = [a.format(a=corpus_a, tags=tags, out=tmp_path / "out.tsv") for a in args]

@@ -15,14 +15,23 @@ import math
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corplex import lexstats, posstats, readability, report
+from corplex import lexstats, posstats, readability, report, textpipe
+from corplex.errors import CorplexError
 from corplex.lexstats import BOUNDARY, CountTable
 from corplex.porter import porter_stem
-from corplex.sampling import ConditionSpec, LineCache, apply_condition, doc_lines
+from corplex.sampling import (
+    ConditionSpec,
+    LineCache,
+    Sample,
+    apply_condition,
+    build_balanced_sample_grouped,
+    doc_lines,
+)
 from corplex.textpipe import (
     PUNCTUATION,
     SUBSENTENCE_SEPARATORS,
@@ -34,6 +43,7 @@ from corplex.textpipe import (
     is_complex_word,
     split_sentences,
     tokenize,
+    type_counts,
 )
 
 CODES = ConditionSpec.all_codes()
@@ -280,7 +290,7 @@ def _same_block(lines, cond, patterns, cache):
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             report._corpus_block(new_sentences)
     else:
-        assert report._corpus_block(new_sentences) == expected
+        assert report._corpus_block(new_sentences)[0] == expected
 
 
 class TestConditionPath:
@@ -446,3 +456,241 @@ class TestMaskTable:
         lexstats._check_center(4, [("a", BOUNDARY, BOUNDARY, "b")])
         with pytest.raises(AssertionError):
             lexstats._check_center(3, [("a", "b", BOUNDARY), ("a", BOUNDARY, "b")])
+
+
+# ---------------------------------------------------------------------------
+# the per-type records against the per-type code they replaced: the type
+# table folded, tallied and fog-scored by the surface and kind of each type,
+# the n = 1 tables counted over windows, and a line cache that kept each
+# line's tokens
+
+
+def parent_folded_counts(types):
+    folded = {}
+    get = folded.get
+    for tok, count in types.items():
+        surface = tok.surface.lower()
+        folded[surface] = get(surface, 0) + count
+    return folded
+
+
+def parent_corpus_stats_from_types(types, n_sent):
+    if n_sent < 1:
+        raise ValueError("corpus_stats needs at least one sentence")
+    word_chars = words = tokens = separators = content = 0
+    for tok, count in types.items():
+        tokens += count
+        if tok.kind == WORD:
+            words += count
+            word_chars += len(tok.surface) * count
+        if tok.kind == PUNCTUATION:
+            separators += sum(ch in SUBSENTENCE_SEPARATORS for ch in tok.surface) * count
+        else:
+            content += count
+    subsentences = separators + n_sent
+    return lexstats.CorpusStats(
+        chars_per_word=word_chars / words if words else 0.0,
+        words_per_sentence=tokens / n_sent,
+        separators_per_sentence=separators / n_sent,
+        content_words_per_subsentence=content / subsentences,
+    )
+
+
+def parent_corpus_measures(types, n_sent):
+    folded = parent_folded_counts(types)
+    V, N = len(folded), sum(folded.values())
+    return {
+        "V": V,
+        "N": N,
+        "C": lexstats.herdan_c(V, N) if V >= 2 else None,
+        "entropy_bits": lexstats.entropy_bits(folded.values(), N),
+        "corpus_stats": parent_corpus_stats_from_types(types, n_sent)._asdict(),
+    }
+
+
+def parent_fog_from_types(types, n_sent):
+    words = 0
+    complex_words = 0
+    for tok, count in types.items():
+        if tok.kind == WORD:
+            words += count
+            if is_complex_word(tok.surface):
+                complex_words += count
+    return readability.FogReport.from_counts(words, n_sent, complex_words)
+
+
+def parent_corpus_block(sentences):
+    types = type_counts(sentences)
+    block = parent_corpus_measures(types, len(sentences))
+    try:
+        block["fog"] = report._fog_block(parent_fog_from_types(types, len(sentences)))
+    except ValueError:
+        block["fog"] = None
+    return block
+
+
+def parent_fold_sentences(sentences):
+    groups = [s.tokens for s in sentences]
+    lower = {tok: tok.surface.lower() for tok in set(chain.from_iterable(groups))}
+    return [tuple(map(lower.__getitem__, tokens)) for tokens in groups]
+
+
+# case merges, literal markers, and surfaces whose lowercase form has another
+# length (the dotted capital I lowercases to two characters) or merges with
+# another surface's (the Kelvin sign lowercases to k)
+EDGE_FRAGMENTS = FRAGMENTS + (
+    "İ", "İstanbul", "ISTANBUL", "istanbul", "i̇", "i̇stanbul", "K", "k", "Kelvin",
+    "ß", "ẞ", "ǅ", "ǆ", "Ω", "§§", "§.", "(§)", "§a", "A§",
+)
+edge_line = st.lists(
+    st.tuples(st.sampled_from(EDGE_FRAGMENTS), st.sampled_from((" ", " ", "\t", ""))),
+    max_size=14,
+).map(lambda parts: "".join(f + sep for f, sep in parts))
+edge_lines = st.lists(edge_line, max_size=8)
+
+
+def _same_or_same_error(new, old):
+    """new() == old(), or both raise the same ValueError."""
+    try:
+        expected = old()
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            new()
+    else:
+        assert new() == expected
+
+
+class TestTypeRecords:
+    @pytest.mark.parametrize("code", CODES)
+    @settings(max_examples=150, deadline=None)
+    @given(lines=edge_lines, patterns=pattern_lists)
+    def test_block_matches_parent(self, code, lines, patterns):
+        sentences = LineCache(patterns).apply(lines, ConditionSpec.parse(code))
+        types = type_counts(sentences)
+        n_sent = len(sentences)
+        _same_or_same_error(lambda: report._corpus_block(sentences)[0],
+                            lambda: parent_corpus_block(sentences))
+        _same_or_same_error(lambda: lexstats.corpus_measures(types, n_sent),
+                            lambda: parent_corpus_measures(types, n_sent))
+        _same_or_same_error(lambda: readability.fog_from_types(types, n_sent),
+                            lambda: parent_fog_from_types(types, n_sent))
+        assert lexstats.tally_types(types).folded == parent_folded_counts(types)
+        assert lexstats.fold_sentences(sentences) == parent_fold_sentences(sentences)
+
+    @pytest.mark.parametrize("code", CODES)
+    @settings(max_examples=150, deadline=None)
+    @given(lines=edge_lines)
+    def test_unigram_table_from_types(self, code, lines):
+        sentences = apply_condition(lines, ConditionSpec.parse(code))
+        folded = lexstats.tally_types(type_counts(sentences)).folded
+        symbols = old_fold_sentences(sentences)
+        table = lexstats.folded_unigram_table(folded)
+        assert table.entries == old_count_corpus_ngrams([symbols], 1, True)
+        counted = lexstats.ngram_counts(symbols, 1, "postprocessed")
+        assert table == counted and table.total == counted.total
+        # raw keeps the marker key, literal surfaces and boundaries merged
+        raw = old_count_corpus_ngrams([symbols], 1, False)
+        assert lexstats.ngram_counts(symbols, 1, "raw").entries == raw
+        if symbols:
+            assert raw.pop((BOUNDARY,)) == folded.pop(BOUNDARY, 0) + len(symbols) + 1
+            assert raw == {(w,): c for w, c in folded.items()}
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=edge_lines, patterns=pattern_lists)
+    def test_line_tokens_from_sentences(self, lines, patterns):
+        cache = LineCache(patterns)
+        for line in lines + lines:  # the second pass reads the cache
+            assert cache.tokens(line) == tokenize(line)
+            kept = list(cache.sentences(line))
+            assert kept == old_apply_condition([line], ConditionSpec.parse("CB"), patterns)
+        body = "\n".join(lines)
+        assert cache.body_tokens(body) == tokenize(body)
+        assert LineCache(patterns).body_tokens(body) == tokenize(body)
+
+
+def _ngram_oracle(docs_a, docs_b, code, max_n, seed, policy):
+    """One code's n-gram fields as the window loop counts them."""
+    cond = ConditionSpec.parse(code)
+    sample_a = Sample.from_lines([l for d in docs_a for l in doc_lines(d)], seed)
+    sample_b = build_balanced_sample_grouped(
+        [doc_lines(d) for d in docs_b], sample_a.size(cond.unit), cond.unit,
+        report._condition_seed(seed, code))
+    symbols_a = old_fold_sentences(old_apply_condition(sample_a.lines, cond))
+    symbols_b = old_fold_sentences(old_apply_condition(sample_b.lines, cond))
+    fields = {}
+    for n in range(1, max_n + 1):
+        table_a = CountTable(n, old_count_corpus_ngrams([symbols_a], n, policy == "postprocessed"))
+        table_b = CountTable(n, old_count_corpus_ngrams([symbols_b], n, policy == "postprocessed"))
+        fields[str(n)] = (
+            lexstats.table_entropy(table_a) if table_a.total else 0.0,
+            lexstats.table_entropy(table_b) if table_b.total else 0.0,
+            posstats.cosine_angle(table_a, table_b),
+        )
+    return fields
+
+
+class Doc:
+    def __init__(self, i, body):
+        self.id, self.title, self.body = str(i), f"T{i}", body
+
+
+edge_docs = st.lists(edge_lines.map(lambda ls: "\n".join(ls + ["Words stay here."])),
+                     min_size=1, max_size=4)
+
+
+class TestCompareNgramFields:
+    @pytest.mark.parametrize("policy", ["raw", "postprocessed"])
+    @settings(max_examples=40, deadline=None)
+    @given(bodies_a=edge_docs, bodies_b=edge_docs,
+           codes=st.lists(st.sampled_from(CODES), min_size=1, max_size=4, unique=True),
+           max_n=st.integers(1, 3), seed=st.integers(0, 2 ** 64 - 1))
+    def test_tables_match_window_loop(self, policy, bodies_a, bodies_b, codes, max_n, seed):
+        docs_a = [Doc(i, b) for i, b in enumerate(bodies_a)]
+        docs_b = docs_a + [Doc(10 + i, b) for i, b in enumerate(bodies_b)]
+        try:
+            expected = {code: _ngram_oracle(docs_a, docs_b, code, max_n, seed, policy)
+                        for code in codes}
+        except ValueError:  # an empty table: compare names the failing code
+            with pytest.raises(CorplexError, match="^condition "):
+                report.compare_corpora(docs_a, docs_b, codes, max_n, seed,
+                                       boundary_policy=policy)
+            return
+        out = report.compare_corpora(docs_a, docs_b, codes, max_n, seed, boundary_policy=policy)
+        for code in codes:
+            block = out["conditions"][code]
+            got = {key: (block["a"]["ngram_entropy_bits"][key],
+                         block["b"]["ngram_entropy_bits"][key],
+                         (cos["similarity"], cos["angle_degrees"]))
+                   for key, cos in block["cross"]["cosine_angles"].items()}
+            assert got == expected[code]
+
+
+class TestClearedTables:
+    """A table cleared when full computes its entries again: outputs do not move."""
+
+    DOCS = [Doc(i, body) for i, body in enumerate([
+        "Running runners ran. The RUNNERS were running quickly!\nİstanbul and ISTANBUL, § 12.",
+        "Communication, organization and administration are complicated words.\n( ) : ;",
+        "Dr. Smith met Mr. Jones at 3.5 p.m. It's what they're doing, isn't it?",
+        "The quiet evening was interesting. Every family had a business idea.",
+    ])]
+
+    def run_all(self):
+        out = [report.render_json(report.compare_corpora(
+            self.DOCS[:2], self.DOCS, ngram_max_n=2, seed=seed, boundary_policy=policy))
+            for seed in (0, 1) for policy in ("raw", "postprocessed")]
+        sentences = apply_condition(doc_lines(self.DOCS[0]), ConditionSpec.parse("WBP"))
+        out.append(lexstats.corpus_measures(type_counts(sentences), len(sentences)))
+        out.append(lexstats.fold_sentences(sentences))
+        out.append(readability.corpus_fog(self.DOCS))
+        return out
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    def test_small_bound(self, monkeypatch, size):
+        expected = self.run_all()
+        monkeypatch.setattr(textpipe, "TYPE_TABLE_SIZE", size)
+        for table in (textpipe._TOKENS, textpipe._FACTS, textpipe._STEMS):
+            table.clear()
+        assert self.run_all() == expected
+        for table in (textpipe._TOKENS, textpipe._FACTS, textpipe._STEMS):
+            assert len(table) <= size

@@ -246,8 +246,9 @@ class TestCompare:
 
         monkeypatch.setattr(lexstats, "ngram_counts", counting)
         report.compare_corpora(DOCS, DOCS + EXTRA, conditions=["WB", "CN"], ngram_max_n=3, seed=0)
-        # one A table and one B table per condition and n
-        assert len(calls) == 2 * 2 * 3
+        # one A table and one B table per condition and n >= 2; the
+        # postprocessed n = 1 tables come from the corpus blocks' type tables
+        assert len(calls) == 2 * 2 * 2
 
     def test_a_counted_once_per_processing(self, monkeypatch):
         calls = []
@@ -259,8 +260,9 @@ class TestCompare:
 
         monkeypatch.setattr(lexstats, "ngram_counts", counting)
         report.compare_corpora(DOCS, DOCS + EXTRA, conditions=["CB", "WB"], ngram_max_n=3, seed=0)
-        # CB and WB process text alike: one A table per n, one B table per code and n
-        assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        # CB and WB process text alike: one A table per n, one B table per
+        # code and n; n = 1 is built from the type tables, not counted
+        assert sorted(calls) == [2, 2, 2, 3, 3, 3]
 
     def test_blocks_of_a_shared_processing_are_not_aliased(self):
         out = report.compare_corpora(DOCS, DOCS + EXTRA, conditions=["CB", "WB"], seed=0)
@@ -314,12 +316,12 @@ class TestCompare:
 class TestCorpusBlockFog:
     def test_wordless_block_has_no_fog(self):
         sentences = split_sentences(tokenize("? ! ?"))
-        block = report._corpus_block(sentences)
+        block, _ = report._corpus_block(sentences)
         assert block["fog"] is None
 
     def test_fog_matches_direct_computation(self):
         sentences = split_sentences(tokenize("The cat sat. Dogs bark loudly."))
-        block = report._corpus_block(sentences)
+        block, _ = report._corpus_block(sentences)
         direct = readability.gunning_fog(sentences)
         assert block["fog"]["F"] == direct.F
         assert block["fog"]["words"] == direct.words
