@@ -19,10 +19,10 @@ The entropies and corpus_stats share one counts-based core: tally_types
 reads a type -> count table once, one textpipe.TypeFacts record per type,
 and gives the table folded by lowercase together with every tally the
 corpus ratios and fog need, so a caller holding such a table pays per type
-rather than per token.  corpus_measures turns a tally into V, N, C, entropy
-and the ratios for the `stats` command and each `compare` corpus block, and
-folded_unigram_table turns its folded counts into the postprocessed n = 1
-table without counting windows.  The token-stream functions
+rather than per token.  tally_measures turns a tally into V, N, C, entropy
+and the ratios for the `stats` command (through corpus_measures) and each
+`compare` corpus block, and folded_unigram_table turns its folded counts
+into the postprocessed n = 1 table without counting windows.  The token-stream functions
 (type_token_counts, unigram_entropy, corpus_stats) stay as public one-shot
 forms.
 """
@@ -493,11 +493,11 @@ def tally_types(types: Mapping[Token, int]) -> TypeTally:
 def corpus_measures(types: Mapping[Token, int], n_sent: int) -> dict:
     """V, N, Herdan's C, entropy_bits and corpus_stats of a type table.
 
-    The one core behind `stats` and each `compare` corpus block (which
-    tallies the table itself, to reuse the tally, and calls
-    tally_measures).  V, N and the entropy read the table merged by
-    lowercased surface; C is None below two types (V <= N, so N >= 2 then
-    holds too).  corpus_stats keeps the CorpusStats field order.
+    The one core behind `stats` and each `compare` corpus block; a block
+    calls tally_measures on its own tally, which its fog and n = 1 table
+    read too.  V, N and the entropy read the table merged by lowercased
+    surface; C is None below two types (V <= N, so N >= 2 then holds too).
+    corpus_stats keeps the CorpusStats field order.
     """
     return tally_measures(tally_types(types), n_sent)
 
