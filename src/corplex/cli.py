@@ -15,7 +15,7 @@ from . import __version__, lexstats, posstats, readability, report, sampling
 from .errors import CorplexError
 from .ingest import docs_to_jsonl, parse_article_dump, parse_revision_dump, utf8_lines
 from .controversy import controversy_m
-from .textpipe import type_counts
+from .textpipe import split_sentences, tokenize, type_counts
 
 
 def _positive_int(text: str) -> int:
@@ -132,7 +132,8 @@ def _cmd_sample(args, warnings: Counter) -> None:
 
 def _cmd_stats(args, warnings: Counter) -> None:
     sentences = [s for g in _sentence_groups(args, warnings) for s in g]
-    measures = lexstats.corpus_measures(type_counts(sentences), len(sentences))
+    tally = lexstats.tally_types(type_counts(sentences))
+    measures = lexstats.corpus_measures(tally, len(sentences))
     ratios = measures.pop("corpus_stats")
     payload = {"condition": args.condition, **measures, **ratios}
     if args.format == "json":
@@ -196,18 +197,20 @@ def _cmd_fog(args, warnings: Counter) -> None:
     docs = _load_docs(args.input, warnings)
     if not docs:
         raise CorplexError("no documents")
-    granularity = "pooled" if args.pooled else "per_document"
-    try:
-        fog = readability.corpus_fog(docs, granularity=granularity, warnings=warnings)
-    except ValueError as exc:  # no document, or no pooled sentence, has a word
+    try:  # no document, or no pooled sentence, has a word
+        if args.pooled:
+            pooled = readability.gunning_fog(
+                [s for doc in docs for s in split_sentences(tokenize(doc.body))])
+        else:
+            stats, reports = readability.corpus_fog(docs, warnings=warnings)
+    except ValueError as exc:
         raise CorplexError(str(exc)) from exc
     if args.pooled:
-        payload = {"mode": "pooled", **report._fog_block(fog)}
+        payload = {"mode": "pooled", **report._fog_block(pooled)}
+    elif args.format == "tsv":
+        _write_lines(args.output, (f"{doc_id}\t{r.F:.6g}" for doc_id, r in reports))
+        return
     else:
-        stats, reports = fog
-        if args.format == "tsv":
-            _write_lines(args.output, (f"{doc_id}\t{r.F:.6g}" for doc_id, r in reports))
-            return
         payload = {
             "mode": "per_document",
             "group": {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr},
@@ -301,7 +304,7 @@ def _cmd_plotdata(args, warnings: Counter) -> None:
             result = lexstats.zipf_table(stream)
         else:
             result = lexstats.heaps_checkpoints(stream, args.checkpoints)
-    report.emit_plot_data(result, args.kind, args.output)
+    _write_lines(args.output, report.plot_data_lines(result, args.kind))
 
 
 def build_parser() -> _Parser:

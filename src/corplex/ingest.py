@@ -22,6 +22,7 @@ counted as the ``markup_fixpoint_cap`` warning.
 
 from __future__ import annotations
 
+import contextlib
 import html.entities
 import io
 import json
@@ -558,12 +559,14 @@ def _read_pages(stream: IO[bytes], warnings: Counter, read_revision) -> Iterator
 
 
 def _parse_timestamp(text: str | None):
+    """An aware datetime; one without an offset is read as UTC, as dumps write it."""
     if not text:
         return None
     try:
-        return datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+        ts = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
     except ValueError:
         return None
+    return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -749,21 +752,8 @@ def docs_to_jsonl(docs: Iterable[Document], fp: IO[str]) -> int:
     return count
 
 
-class _open_maybe:
-    """Context manager: open paths for binary reading, pass streams through without closing."""
-
-    def __init__(self, source):
-        self._source = source
-        self._opened = None
-
-    def __enter__(self):
-        source = self._source
-        if isinstance(source, str) or hasattr(source, "__fspath__"):
-            self._opened = open(source, "rb")
-            return self._opened
-        return source
-
-    def __exit__(self, *exc):
-        if self._opened is not None:
-            self._opened.close()
-        return False
+def _open_maybe(source):
+    """A path opened for binary reading; a stream passes through, left open."""
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
+        return open(source, "rb")
+    return contextlib.nullcontext(source)

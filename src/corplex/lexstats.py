@@ -19,12 +19,12 @@ The entropies and corpus_stats share one counts-based core: tally_types
 reads a type -> count table once, one textpipe.TypeFacts record per type,
 and gives the table folded by lowercase together with every tally the
 corpus ratios and fog need, so a caller holding such a table pays per type
-rather than per token.  tally_measures turns a tally into V, N, C, entropy
-and the ratios for the `stats` command (through corpus_measures) and each
-`compare` corpus block, and folded_unigram_table turns its folded counts
-into the postprocessed n = 1 table without counting windows.  The token-stream functions
-(type_token_counts, unigram_entropy, corpus_stats) stay as public one-shot
-forms.
+rather than per token.  corpus_measures turns a tally into V, N, C, entropy
+and the ratios for the `stats` command and each `compare` corpus block, and
+corpus_table builds a corpus's n-gram table: the postprocessed n = 1 table
+from the tally's folded counts, every other table by counting windows.  The
+token-stream functions (type_token_counts, unigram_entropy, corpus_stats)
+stay as public one-shot forms.
 """
 
 from __future__ import annotations
@@ -115,11 +115,6 @@ def _fold_stream(tokens: Iterable) -> Iterable[str]:
     for tok in tokens:
         surface = tok if isinstance(tok, str) else tok.surface
         yield surface.lower()
-
-
-def folded_counts(types: Mapping[Token, int]) -> dict[str, int]:
-    """A token-type -> count table merged by lowercased surface."""
-    return tally_types(types).folded
 
 
 def type_token_counts(tokens: Iterable) -> tuple[int, int]:
@@ -490,20 +485,15 @@ def tally_types(types: Mapping[Token, int]) -> TypeTally:
     return TypeTally(folded, tokens, words, word_chars, separators, content, complex_words)
 
 
-def corpus_measures(types: Mapping[Token, int], n_sent: int) -> dict:
-    """V, N, Herdan's C, entropy_bits and corpus_stats of a type table.
+def corpus_measures(tally: TypeTally, n_sent: int) -> dict:
+    """V, N, Herdan's C, entropy_bits and corpus_stats of a tallied type table.
 
-    The one core behind `stats` and each `compare` corpus block; a block
-    calls tally_measures on its own tally, which its fog and n = 1 table
-    read too.  V, N and the entropy read the table merged by lowercased
-    surface; C is None below two types (V <= N, so N >= 2 then holds too).
-    corpus_stats keeps the CorpusStats field order.
+    The one core behind `stats` and each `compare` corpus block; a block's
+    fog and n = 1 table read the same tally.  V, N and the entropy read the
+    table merged by lowercased surface; C is None below two types (V <= N,
+    so N >= 2 then holds too).  corpus_stats keeps the CorpusStats field
+    order.
     """
-    return tally_measures(tally_types(types), n_sent)
-
-
-def tally_measures(tally: TypeTally, n_sent: int) -> dict:
-    """corpus_measures of the table that tally_types gave tally for."""
     folded = tally.folded
     V, N = len(folded), tally.tokens
     return {
@@ -515,15 +505,18 @@ def tally_measures(tally: TypeTally, n_sent: int) -> dict:
     }
 
 
-def folded_unigram_table(folded: dict[str, int]) -> CountTable:
-    """The postprocessed n = 1 table of a corpus, from its folded type counts.
+def corpus_table(symbols, folded: dict[str, int], n: int, boundary_policy: str) -> CountTable:
+    """A corpus's n-gram table from its folded sentences and folded type counts.
 
-    Equal to ngram_counts(fold_sentences(sentences), 1) for the sentences
-    the counts were tallied from: at n = 1 the boundary rule drops every
-    window holding a marker, and so the key of a literal marker surface
-    too.  The table owns a new dict; folded is left as it is.
+    symbols is fold_sentences of the corpus and folded its TypeTally.folded.
+    The postprocessed n = 1 table reads folded alone and equals
+    ngram_counts(symbols, 1): at n = 1 the boundary rule drops every window
+    holding a marker, and so the key of a literal marker surface too.  Every
+    other table counts symbols' windows.  folded is left as it is.
     """
-    return CountTable._owning(1, {(w,): c for w, c in folded.items() if w != BOUNDARY})
+    if n == 1 and _POLICIES.get(boundary_policy) == "postprocessed":
+        return CountTable._owning(1, {(w,): c for w, c in folded.items() if w != BOUNDARY})
+    return ngram_counts(symbols, n, boundary_policy)
 
 
 def corpus_stats(sentences: Sequence[Sentence]) -> CorpusStats:
@@ -534,9 +527,4 @@ def corpus_stats(sentences: Sequence[Sentence]) -> CorpusStats:
     a separator-delimited stretch, so each sentence has separators + 1.
     """
     sentences = list(sentences)
-    return corpus_stats_from_types(type_counts(sentences), len(sentences))
-
-
-def corpus_stats_from_types(types: Mapping[Token, int], n_sent: int) -> CorpusStats:
-    """corpus_stats from a token-type -> count table and a sentence count."""
-    return tally_types(types).corpus_stats(n_sent)
+    return tally_types(type_counts(sentences)).corpus_stats(len(sentences))

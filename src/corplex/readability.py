@@ -81,30 +81,20 @@ def text_fog(text: str) -> FogReport:
 
 def corpus_fog(
     docs: Iterable,
-    granularity: str = "per_document",
     warnings: Counter | None = None,
     tokenizer: Callable[[str], list[Token]] | None = None,
-):
-    """Fog over a document collection.
+) -> tuple[GroupStats, list[tuple[object, FogReport]]]:
+    """Per-document fog over a document collection.
 
-    per_document: (GroupStats over per-document F, [(doc id, FogReport)]);
-    documents that cannot be scored (no words) are skipped with a counted
-    warning, as is the lone-document case where stderr degenerates to 0.
-    pooled: every document's sentences pooled into one FogReport.
-    tokenizer turns a body into tokens (default textpipe.tokenize); a
-    caller that already holds each line's tokens passes its cache here.
+    (GroupStats over per-document F, [(doc id, FogReport)]); documents that
+    cannot be scored (no words) are skipped with a counted warning, as is
+    the lone-document case where stderr degenerates to 0.  A pooled score
+    is gunning_fog over every document's sentences.  tokenizer turns a body
+    into tokens (default textpipe.tokenize); a caller that already holds
+    each line's tokens passes its cache here.
     """
-    if granularity not in ("per_document", "pooled"):
-        raise ValueError(f"bad granularity {granularity!r}")
     warnings = warnings if warnings is not None else Counter()
     body_tokens = tokenizer or tokenize
-    if granularity == "pooled":
-        all_sentences: list[Sentence] = []
-        for doc in docs:
-            all_sentences.extend(split_sentences(body_tokens(_body(doc))))
-        if not all_sentences:
-            raise ValueError("no sentences to pool")
-        return gunning_fog(all_sentences)
     reports: list[tuple[object, FogReport]] = []
     for doc in docs:
         try:

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 from . import lexstats, posstats, readability, sampling
 from .errors import CorplexError
-from .lexstats import BOUNDARY  # noqa: F401  (re-exported for report consumers)
 from .textpipe import Sentence, type_counts
 
 
@@ -72,7 +71,7 @@ def _corpus_block(sentences: list[Sentence]) -> tuple[dict, dict[str, int]]:
     everything V, N, C, the entropy, the ratios and fog need.
     """
     tally = lexstats.tally_types(type_counts(sentences))
-    block = lexstats.tally_measures(tally, len(sentences))
+    block = lexstats.corpus_measures(tally, len(sentences))
     try:
         fog = readability.FogReport.from_counts(tally.words, len(sentences), tally.complex_words)
         block["fog"] = _fog_block(fog)
@@ -165,9 +164,9 @@ def _condition_blocks(
     and stemming policies share A's sentences, corpus block and n-gram
     tables.  For each n, A's table is counted once and then each code's B
     table, so no more tables are alive at once than with one code at a time.
-    Under the postprocessed policy the n = 1 tables are built from the
-    corpus blocks' folded type counts, which are dropped once used, and
-    sentences are folded for counting only when some n >= 2 needs them.
+    lexstats.corpus_table builds each table from the corpus's folded
+    sentences and its block's folded type counts, which are dropped once the
+    n = 1 tables are built.
     Each code meets its errors in the order one-code-at-a-time evaluation
     would, and the error raised is that of the earliest failing code in the
     caller's order; codes after a failure are left unmeasured.
@@ -186,14 +185,6 @@ def _condition_blocks(
             errors[i] = exc
             break
         processings.setdefault((cond.punctuation, cond.stemming), []).append((i, cond))
-
-    unigrams_from_types = lexstats._POLICIES.get(boundary_policy) == "postprocessed"
-    fold = ngram_max_n > 1 or not unigrams_from_types
-
-    def table(unigrams, folded, n):
-        if n == 1 and unigrams_from_types:
-            return lexstats.folded_unigram_table(unigrams)
-        return lexstats.ngram_counts(folded, n, boundary_policy)
 
     blocks: dict[int, dict] = {}
     for members in processings.values():
@@ -219,7 +210,7 @@ def _condition_blocks(
             except (ValueError, CorplexError) as exc:
                 errors[i] = exc
                 continue
-            folded_b[i] = lexstats.fold_sentences(sentences_b) if fold else None
+            folded_b[i] = lexstats.fold_sentences(sentences_b)
             del sentences_b
             c_a, c_b = block_a["C"], block_b["C"]
             block = blocks[i] = {
@@ -242,7 +233,7 @@ def _condition_blocks(
             block_b["ngram_entropy_bits"] = {}
 
         # each table serves both its corpus's entropy and the A/B cosine
-        folded_a = lexstats.fold_sentences(sentences_a) if fold else None
+        folded_a = lexstats.fold_sentences(sentences_a)
         del sentences_a
         for n in range(1, ngram_max_n + 1):
             live = [i for i in folded_b if measured(i)]
@@ -250,7 +241,7 @@ def _condition_blocks(
                 break
             key = str(n)
             try:
-                table_a = table(unigrams_a, folded_a, n)
+                table_a = lexstats.corpus_table(folded_a, unigrams_a, n, boundary_policy)
             except ValueError as exc:
                 errors.update(dict.fromkeys(live, exc))
                 break
@@ -258,7 +249,8 @@ def _condition_blocks(
             entropy_a = lexstats.table_entropy(table_a) if table_a.total else 0.0
             for i in live:
                 try:
-                    table_b = table(unigrams_b.pop(i, None), folded_b[i], n)
+                    table_b = lexstats.corpus_table(
+                        folded_b[i], unigrams_b.pop(i, None), n, boundary_policy)
                     similarity, angle = posstats.cosine_angle(table_a, table_b)
                 except ValueError as exc:
                     errors[i] = exc
@@ -294,23 +286,19 @@ def pos_dist_tsv_lines(distribution) -> Iterable[str]:
         yield f"{tag}\t{freq:.6g}"
 
 
-def emit_plot_data(result, kind: str, path: str) -> None:
-    """Write one plot's TSV: zipf/ngram_zipf (rank, freq), heaps (N, V) or
+def plot_data_lines(result, kind: str) -> Iterable[str]:
+    """One plot's TSV lines: zipf/ngram_zipf (rank, freq), heaps (N, V) or
     pos_dist (tag, relative freq)."""
     if kind in ("zipf", "ngram_zipf"):
         ranked = result.ranked() if isinstance(result, lexstats.CountTable) else result
-        lines = zipf_tsv_lines(ranked)
-    elif kind == "heaps":
+        return zipf_tsv_lines(ranked)
+    if kind == "heaps":
         checkpoints = result.checkpoints if isinstance(result, lexstats.HeapsFit) else result
-        lines = heaps_tsv_lines(checkpoints)
-    elif kind == "pos_dist":
+        return heaps_tsv_lines(checkpoints)
+    if kind == "pos_dist":
         dist = posstats.pos_distribution(result) if isinstance(result, lexstats.CountTable) else result
-        lines = pos_dist_tsv_lines(dist)
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    with open(path, "w", encoding="utf-8") as fp:
-        for line in lines:
-            fp.write(line + "\n")
+        return pos_dist_tsv_lines(dist)
+    raise ValueError(f"unknown plot kind {kind!r}")
 
 
 def angle_table_tsv_lines(rows: Sequence[tuple[int, float]]) -> Iterable[str]:

@@ -10,12 +10,13 @@ build_balanced_sample is that draw over one-line articles.
 
 Conditions run through a LineCache, which tokenizes, exclude-checks and
 sentence-splits each distinct line once, and keeps for it only the raw
-sentences and whether it is excluded; a line's tokens are its sentences'
-tokens joined.  Every processing step is then a function of the token type
-alone, so a condition is a per-type map over the cached sentences, made for
-one apply call from the types it meets: punctuation strip drops a type,
-Porter maps a word type to its stem through the process-wide stem table
-(textpipe.stem_token; the token keeps its kind).  apply_condition is the
+sentences and whether it is excluded.  Fog reads a document's tokens
+through body_tokens, which joins its lines' cached sentences.  Every
+processing step is a function of the token type alone, so a condition is a
+per-type map over the cached sentences, made for one apply call from the
+types it meets: punctuation strip drops a type, Porter maps a word type to
+its stem through the process-wide stem table (textpipe.stem_token; the
+token keeps its kind).  apply_condition is the
 one-shot use of a cache, with the signature and results it always had.
 """
 
@@ -248,10 +249,6 @@ class LineCache:
                 if any(p in joined for p in self._patterns):
                     self._excluded.add(line)
         return sents
-
-    def tokens(self, line: str) -> list[Token]:
-        """tokenize(line), from the line's cached sentences."""
-        return [tok for sentence in self._raw(line) for tok in sentence.tokens]
 
     def body_tokens(self, body: str) -> list[Token]:
         """tokenize(body), assembled from the cached sentences of its lines.

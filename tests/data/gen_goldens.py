@@ -8,8 +8,9 @@ Each entry of RUNS is one ``python -m corplex`` run from this directory, on
 the package in the repository's src/, exactly as the acceptance suite's
 criterion 11 runs it.  A run writes its output files into a scratch
 directory (the "{out}" argument); each file is then copied into golden/
-under its own name, and the run's stderr goes to golden/<name>.stderr when
-it is not empty.  The extract runs come first, because the later runs read
+under its own name, and the run's stdout and stderr go to
+golden/<name>.stdout and golden/<name>.stderr when they are not empty.
+The extract runs come first, because the later runs read
 golden/extracted_a.jsonl and golden/extracted_b.jsonl.
 
 The goldens are committed.  They pin the tool's bytes, so a rerun on an
@@ -55,6 +56,7 @@ RUNS = [
     ("conflict", ["conflict", "history.xml", "--ranking", "{out}/ranking.tsv",
                   "-o", "{out}/conflict.jsonl"]),
     ("stats_WB", ["stats", A, "-o", "{out}/stats_WB.json"]),
+    ("stats_WB_stdout", ["stats", A]),  # stdout equals stats_WB.json
     ("stats_WB_tsv", ["stats", A, "--format", "tsv", "-o", "{out}/stats_WB.tsv"]),
     ("stats_edge_WB", ["stats", EDGE, "-o", "{out}/stats_edge_WB.json"]),
     *[
@@ -91,6 +93,7 @@ RUNS = [
     ("fog_tsv", ["fog", B, "--format", "tsv", "-o", "{out}/fog.tsv"]),
     ("fog_pooled", ["fog", A, "--pooled", "-o", "{out}/fog_pooled.json"]),
     ("plot_zipf", ["plotdata", A, "--kind", "zipf", "-o", "{out}/plot_zipf.tsv"]),
+    ("plot_zipf_stdout", ["plotdata", A, "--kind", "zipf", "-o", "-"]),  # equals plot_zipf.tsv
     ("plot_zipf_x", ["plotdata", A, "--kind", "zipf", "--condition", "WNP", *PATTERNS,
                      "-o", "{out}/plot_zipf_x.tsv"]),
     ("plot_heaps", ["plotdata", B, "--kind", "heaps", "--checkpoints", "20",
@@ -103,7 +106,7 @@ RUNS = [
 
 
 def run(name: str, args: list[str], out_dir: Path, package_root: Path = SRC):
-    """One RUNS entry; returns (exit code, stderr, {output file name: bytes})."""
+    """One RUNS entry; returns (exit code, stdout bytes, stderr, {output file name: bytes})."""
     out_dir = out_dir / name
     out_dir.mkdir(parents=True)
     env = dict(os.environ)
@@ -111,24 +114,25 @@ def run(name: str, args: list[str], out_dir: Path, package_root: Path = SRC):
         p for p in (str(package_root), os.environ.get("PYTHONPATH")) if p)
     argv = [a.replace("{out}", str(out_dir)) for a in args]
     done = subprocess.run([sys.executable, "-m", "corplex", *argv],
-                          capture_output=True, text=True, cwd=HERE, env=env)
+                          capture_output=True, cwd=HERE, env=env)
     outputs = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
-    return done.returncode, done.stderr, outputs
+    return done.returncode, done.stdout, done.stderr.decode("utf-8"), outputs
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in RUNS:
-            code, stderr, outputs = run(name, args, Path(tmp))
+            code, stdout, stderr, outputs = run(name, args, Path(tmp))
             if code != 0:
                 sys.exit(f"{name}: exit {code}\n{stderr}")
             for file_name, data in outputs.items():
                 (GOLDEN / file_name).write_bytes(data)
-            stderr_path = GOLDEN / f"{name}.stderr"
-            if stderr:
-                stderr_path.write_text(stderr, encoding="utf-8")
-            elif stderr_path.exists():
-                stderr_path.unlink()
+            for suffix, data in (("stdout", stdout), ("stderr", stderr.encode("utf-8"))):
+                path = GOLDEN / f"{name}.{suffix}"
+                if data:
+                    path.write_bytes(data)
+                elif path.exists():
+                    path.unlink()
 
 
 if __name__ == "__main__":

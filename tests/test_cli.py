@@ -6,10 +6,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corplex import cli, lexstats, sampling, textpipe
 
@@ -566,6 +568,12 @@ class TestPlotdata:
         assert cli.main(["plotdata", tags, "--kind", "pos_dist", "-o", str(out)]) == 0
         assert out.read_text().startswith("tag\trelative_frequency\n")
 
+    def test_dash_writes_stdout(self, corpus_a, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["plotdata", corpus_a, "--kind", "zipf", "-o", "-"]) == 0
+        assert capsys.readouterr().out.startswith("rank\tfreq\n1\t")
+        assert list(tmp_path.iterdir()) == [Path(corpus_a)]  # no file named "-"
+
     def test_output_required(self, corpus_a):
         with pytest.raises(SystemExit) as err:
             cli.main(["plotdata", corpus_a, "--kind", "zipf"])
@@ -592,6 +600,75 @@ def test_out_of_range_arguments_are_usage_errors(args, corpus_a, tags, tmp_path,
     stderr = capsys.readouterr().err
     assert stderr.startswith("usage: corplex " + args[0])
     assert "Traceback" not in stderr
+
+
+DATA = Path(__file__).parent / "data"
+EDGE = str(DATA / "edge_cases.jsonl")
+
+# shape -> (fixture to mutate, argv); "{src}" is the mutated copy and "{out}"
+# a scratch directory, so every argv is valid and no output reaches stdout
+CONTRACT_SHAPES = {
+    "extract": ("mini_dump_a.xml", ["extract", "{src}", "-o", "{out}/x.jsonl"]),
+    "extract_jsonl": ("edge_cases.jsonl",
+                      ["extract", "{src}", "--format", "jsonl", "-o", "{out}/x.jsonl"]),
+    "sample": ("edge_cases.jsonl", ["sample", "{src}", "--target", "40", "-o", "{out}/s"]),
+    "stats": ("edge_cases.jsonl",
+              ["stats", "{src}", "--condition", "CNP", "--format", "tsv", "-o", "{out}/s.tsv"]),
+    "stats_patterns": ("exclude_patterns.txt",
+                       ["stats", EDGE, "--exclude-patterns", "{src}", "-o", "{out}/s.json"]),
+    "ngram_word": ("edge_cases.jsonl", ["ngram", "{src}", "--n", "3", "-o", "{out}/n.tsv"]),
+    "ngram_tag": ("tagged_a.txt", ["ngram", "{src}", "--kind", "tag", "--n", "2",
+                                   "--pos-condition", "SN", "-o", "{out}/n.tsv"]),
+    "pos": ("tagged_b.txt", ["pos", str(DATA / "tagged_a.txt"), "{src}", "--format", "tsv",
+                             "-o", "{out}/p.tsv"]),
+    "fog": ("edge_cases.jsonl", ["fog", "{src}", "-o", "{out}/f.json"]),
+    "fog_pooled": ("edge_cases.jsonl", ["fog", "{src}", "--pooled", "-o", "{out}/f.json"]),
+    "conflict": ("history.xml", ["conflict", "{src}", "--ranking", "{out}/r.tsv",
+                                 "-o", "{out}/c.jsonl"]),
+    "compare": ("edge_cases.jsonl", ["compare", "{src}", str(DATA / "golden" / "extracted_b.jsonl"),
+                                     "--ngram-max-n", "2", "-o", "{out}/c.json"]),
+    "plotdata_heaps": ("edge_cases.jsonl",
+                       ["plotdata", "{src}", "--kind", "heaps", "-o", "{out}/h.tsv"]),
+    "plotdata_pos_dist": ("tagged_b.txt",
+                          ["plotdata", "{src}", "--kind", "pos_dist", "-o", "{out}/d.tsv"]),
+}
+
+# bytes that markup, JSON, XML, tags or UTF-8 give a meaning to, beside random ones
+_chunk = st.binary(min_size=1, max_size=3) | st.sampled_from(
+    [b"<", b">", b"/", b'"', b"\\", b"\n", b"{", b"}", b"[[", b"]]", b"{{", b"&", b";", b"|",
+     b"=", b".", b" ", b"\xff", b"\xc3", b"\x00", "\u00a7".encode(), "\u0130".encode()])
+_edits = st.lists(st.tuples(st.integers(0, 1 << 20),
+                            st.sampled_from(("replace", "insert", "delete")), _chunk),
+                  max_size=4)
+
+
+def _mutate(data: bytes, edits, cut) -> bytes:
+    buf = bytearray(data)
+    for pos, op, chunk in edits:
+        pos %= len(buf) + 1
+        if op == "insert":
+            buf[pos:pos] = chunk
+        elif op == "replace":
+            buf[pos:pos + len(chunk)] = chunk
+        else:
+            del buf[pos:pos + len(chunk)]
+    if cut is not None:
+        del buf[cut % (len(buf) + 1):]
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("shape", sorted(CONTRACT_SHAPES))
+@settings(max_examples=25, deadline=None)
+@given(edits=_edits, cut=st.none() | st.integers(0, 1 << 20))
+def test_mutated_input_exits_0_or_2(shape, edits, cut):
+    """A damaged input file is a data error (2) or a result (0), never a
+    usage error (1) or an escaping exception."""
+    fixture, args = CONTRACT_SHAPES[shape]
+    with tempfile.TemporaryDirectory() as out:
+        src = Path(out) / ("input" + Path(fixture).suffix)
+        src.write_bytes(_mutate((DATA / fixture).read_bytes(), edits, cut))
+        code = cli.main([a.replace("{src}", str(src)).replace("{out}", out) for a in args])
+    assert code in (0, 2)
 
 
 def _loaded_by_cli_import(module: str) -> bool:

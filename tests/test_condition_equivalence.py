@@ -328,15 +328,13 @@ class TestConditionPath:
     @given(bodies=st.lists(st.lists(line_text, max_size=6).map("\n".join), min_size=1, max_size=5))
     def test_fog_through_the_cache(self, bodies):
         cache = LineCache()
-        for granularity in ("per_document", "pooled"):
-            try:
-                expected = readability.corpus_fog(bodies, granularity)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=re.escape(str(exc))):
-                    readability.corpus_fog(bodies, granularity, tokenizer=cache.body_tokens)
-            else:
-                assert readability.corpus_fog(bodies, granularity,
-                                              tokenizer=cache.body_tokens) == expected
+        try:
+            expected = readability.corpus_fog(bodies)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                readability.corpus_fog(bodies, tokenizer=cache.body_tokens)
+        else:
+            assert readability.corpus_fog(bodies, tokenizer=cache.body_tokens) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +568,7 @@ class TestTypeRecords:
         n_sent = len(sentences)
         _same_or_same_error(lambda: report._corpus_block(sentences)[0],
                             lambda: parent_corpus_block(sentences))
-        _same_or_same_error(lambda: lexstats.corpus_measures(types, n_sent),
+        _same_or_same_error(lambda: lexstats.corpus_measures(lexstats.tally_types(types), n_sent),
                             lambda: parent_corpus_measures(types, n_sent))
         _same_or_same_error(lambda: readability.fog_from_types(types, n_sent),
                             lambda: parent_fog_from_types(types, n_sent))
@@ -584,7 +582,7 @@ class TestTypeRecords:
         sentences = apply_condition(lines, ConditionSpec.parse(code))
         folded = lexstats.tally_types(type_counts(sentences)).folded
         symbols = old_fold_sentences(sentences)
-        table = lexstats.folded_unigram_table(folded)
+        table = lexstats.corpus_table(symbols, folded, 1, "postprocessed")
         assert table.entries == old_count_corpus_ngrams([symbols], 1, True)
         counted = lexstats.ngram_counts(symbols, 1, "postprocessed")
         assert table == counted and table.total == counted.total
@@ -600,7 +598,6 @@ class TestTypeRecords:
     def test_line_tokens_from_sentences(self, lines, patterns):
         cache = LineCache(patterns)
         for line in lines + lines:  # the second pass reads the cache
-            assert cache.tokens(line) == tokenize(line)
             kept = list(cache.sentences(line))
             assert kept == old_apply_condition([line], ConditionSpec.parse("CB"), patterns)
         body = "\n".join(lines)
@@ -680,7 +677,8 @@ class TestClearedTables:
             self.DOCS[:2], self.DOCS, ngram_max_n=2, seed=seed, boundary_policy=policy))
             for seed in (0, 1) for policy in ("raw", "postprocessed")]
         sentences = apply_condition(doc_lines(self.DOCS[0]), ConditionSpec.parse("WBP"))
-        out.append(lexstats.corpus_measures(type_counts(sentences), len(sentences)))
+        out.append(lexstats.corpus_measures(lexstats.tally_types(type_counts(sentences)),
+                                            len(sentences)))
         out.append(lexstats.fold_sentences(sentences))
         out.append(readability.corpus_fog(self.DOCS))
         return out

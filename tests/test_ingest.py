@@ -273,6 +273,18 @@ class TestRevisionDump:
         assert [r.raw_text for r in history] == ["earlier", "later"]
         assert warnings["reordered_revisions"] == 1
 
+    def test_timestamp_without_offset_is_utc(self):
+        revisions = [
+            (10, "2008-01-05T00:00:00", USER_A, "later"),
+            (11, "2008-01-01T00:00:00Z", USER_B, "earlier"),
+            (12, "2008-01-03T00:00:00", USER_A, "middle"),
+        ]
+        dump = xml_dump(xml_page("P", 7, revisions))
+        [(_, history)] = parse_revision_dump(io.BytesIO(dump))
+        assert [r.raw_text for r in history] == ["earlier", "middle", "later"]
+        [doc] = parse_article_dump(io.BytesIO(dump))
+        assert doc.body == "later"
+
     def test_ip_contributor(self):
         dump = xml_dump(
             xml_page("P", 7, [(10, "2008-01-01T00:00:00Z", "<ip>10.0.0.1</ip>", "x")])

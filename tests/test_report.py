@@ -327,44 +327,36 @@ class TestCorpusBlockFog:
         assert block["fog"]["words"] == direct.words
 
 
+def _plot_text(result, kind):
+    return "".join(line + "\n" for line in report.plot_data_lines(result, kind))
+
+
 class TestPlotData:
-    def test_zipf_lines(self, tmp_path):
+    def test_zipf_lines(self):
         table = lexstats.ngram_counts([("a",), ("b",), ("a",)], 1, "postprocessed")
-        path = tmp_path / "zipf.tsv"
-        report.emit_plot_data(table, "zipf", str(path))
-        assert path.read_text() == "rank\tfreq\n1\t2\n2\t1\n"
+        assert _plot_text(table, "zipf") == "rank\tfreq\n1\t2\n2\t1\n"
 
-    def test_ngram_zipf_same_format(self, tmp_path):
+    def test_ngram_zipf_same_format(self):
         table = CountTable(2, {("a", "b"): 4, ("b", "c"): 1})
-        path = tmp_path / "ng.tsv"
-        report.emit_plot_data(table, "ngram_zipf", str(path))
-        assert path.read_text() == "rank\tfreq\n1\t4\n2\t1\n"
+        assert _plot_text(table, "ngram_zipf") == "rank\tfreq\n1\t4\n2\t1\n"
 
-    def test_heaps_from_checkpoints(self, tmp_path):
-        path = tmp_path / "heaps.tsv"
-        report.emit_plot_data([(1, 1), (2, 2), (3, 3)], "heaps", str(path))
-        assert path.read_text() == "N\tV\n1\t1\n2\t2\n3\t3\n"
+    def test_heaps_from_checkpoints(self):
+        assert _plot_text([(1, 1), (2, 2), (3, 3)], "heaps") == "N\tV\n1\t1\n2\t2\n3\t3\n"
 
-    def test_heaps_from_fit(self, tmp_path):
+    def test_heaps_from_fit(self):
         fit = HeapsFit(exponent=0.5, intercept=0.0, stderr=0.0, checkpoints=((10, 3), (20, 5)))
-        path = tmp_path / "fit.tsv"
-        report.emit_plot_data(fit, "heaps", str(path))
-        assert path.read_text() == "N\tV\n10\t3\n20\t5\n"
+        assert _plot_text(fit, "heaps") == "N\tV\n10\t3\n20\t5\n"
 
-    def test_pos_dist_from_table(self, tmp_path):
+    def test_pos_dist_from_table(self):
         table = CountTable(1, {("NN",): 3, ("DT",): 1})
-        path = tmp_path / "pos.tsv"
-        report.emit_plot_data(table, "pos_dist", str(path))
-        assert path.read_text() == "tag\trelative_frequency\nNN\t0.75\nDT\t0.25\n"
+        assert _plot_text(table, "pos_dist") == "tag\trelative_frequency\nNN\t0.75\nDT\t0.25\n"
 
-    def test_pos_dist_precomputed(self, tmp_path):
-        path = tmp_path / "pre.tsv"
-        report.emit_plot_data([("VB", 1.0)], "pos_dist", str(path))
-        assert path.read_text() == "tag\trelative_frequency\nVB\t1\n"
+    def test_pos_dist_precomputed(self):
+        assert _plot_text([("VB", 1.0)], "pos_dist") == "tag\trelative_frequency\nVB\t1\n"
 
-    def test_unknown_kind(self, tmp_path):
+    def test_unknown_kind(self):
         with pytest.raises(ValueError, match="plot kind"):
-            report.emit_plot_data([], "scatter", str(tmp_path / "x.tsv"))
+            report.plot_data_lines([], "scatter")
 
 
 class TestAngleTable:
