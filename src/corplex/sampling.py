@@ -16,8 +16,8 @@ processing step is a function of the token type alone, so a condition is a
 per-type map over the cached sentences, made for one apply call from the
 types it meets: punctuation strip drops a type, Porter maps a word type to
 its stem through the process-wide stem table (textpipe.stem_token; the
-token keeps its kind).  apply_condition is the
-one-shot use of a cache, with the signature and results it always had.
+token keeps its kind).  apply_condition is the one-shot use of a cache,
+with the signature and results it always had.
 """
 
 from __future__ import annotations
