@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors.  Results go
 to stdout (or --output), diagnostics and warning tallies to stderr.
+
+A command returns its whole result, a payload dict or TSV lines, for main to
+write; extract and conflict write each record as soon as it is ready.
 """
 
 from __future__ import annotations
@@ -53,14 +56,16 @@ def _open_output(path: str):
     return open(path, "w", encoding="utf-8")
 
 
-def _write_text(path: str, text: str) -> None:
-    with _open_output(path) as out:
-        out.write(text)
+def _write(path: str, result) -> None:
+    """A payload dict as canonical JSON, anything else one line per item.
 
-
-def _write_lines(path: str, lines) -> None:
+    The lines are written one by one, never joined into one string.
+    """
     with _open_output(path) as out:
-        out.writelines(line + "\n" for line in lines)
+        if isinstance(result, dict):
+            out.write(report.render_json(result))
+        else:
+            out.writelines(line + "\n" for line in result)
 
 
 def _input(path: str):
@@ -77,11 +82,11 @@ def _load_docs(path: str, warnings: Counter) -> list:
 def _load_patterns(path: str | None) -> list[str]:
     if not path:
         return []
-    return [line.rstrip("\n") for line in utf8_lines(path) if line.strip()]
+    return [line.rstrip("\n") for line in utf8_lines(_input(path)) if line.strip()]
 
 
 def _load_tagged(path: str, pos_condition: str, warnings: Counter):
-    tagged = posstats.parse_tagged(utf8_lines(path), warnings)
+    tagged = posstats.parse_tagged(utf8_lines(_input(path)), warnings)
     return posstats.apply_pos_condition(tagged, pos_condition)
 
 
@@ -125,29 +130,21 @@ def _cmd_sample(args, warnings: Counter) -> None:
     else:
         pool = [l for g in groups for l in g]
         sample = sampling.build_balanced_sample(pool, args.target, unit, args.seed)
-    _write_lines(args.output + ".txt", sample.lines)
-    manifest = sampling.sample_manifest(sample, unit, args.target, source=args.input)
-    _write_text(args.output + ".manifest.json", report.render_json(manifest))
+    _write(args.output + ".txt", sample.lines)
+    _write(args.output + ".manifest.json",
+           sampling.sample_manifest(sample, unit, args.target, source=args.input))
 
 
-def _cmd_stats(args, warnings: Counter) -> None:
+def _cmd_stats(args, warnings: Counter):
     sentences = [s for g in _sentence_groups(args, warnings) for s in g]
     tally = lexstats.tally_types(type_counts(sentences))
     measures = lexstats.corpus_measures(tally, len(sentences))
     ratios = measures.pop("corpus_stats")
     payload = {"condition": args.condition, **measures, **ratios}
-    if args.format == "json":
-        _write_text(args.output, report.render_json(payload))
-    else:
-        def fmt(v):
-            if v is None:
-                return "NA"
-            return f"{v:.6g}" if isinstance(v, float) else str(v)
-
-        _write_lines(args.output, (f"{k}\t{fmt(v)}" for k, v in payload.items()))
+    return payload if args.format == "json" else report.tsv_lines(payload.items())
 
 
-def _cmd_ngram(args, warnings: Counter) -> None:
+def _cmd_ngram(args, warnings: Counter):
     if args.kind == "word":
         sections = [lexstats.fold_sentences(g) for g in _doc_sentence_groups(args, warnings)]
     else:
@@ -158,19 +155,17 @@ def _cmd_ngram(args, warnings: Counter) -> None:
     if table.total < 1:
         raise CorplexError("empty n-gram table")
     if args.format == "tsv":
-        _write_lines(args.output, table.to_tsv_lines())
-    else:
-        payload = {
-            "n": args.n,
-            "boundary": args.boundary,
-            "total": table.total,
-            "distinct": len(table),
-            "entropy_bits": lexstats.table_entropy(table),
-        }
-        _write_text(args.output, report.render_json(payload))
+        return table.to_tsv_lines()
+    return {
+        "n": args.n,
+        "boundary": args.boundary,
+        "total": table.total,
+        "distinct": len(table),
+        "entropy_bits": lexstats.table_entropy(table),
+    }
 
 
-def _cmd_pos(args, warnings: Counter) -> None:
+def _cmd_pos(args, warnings: Counter):
     tagged_a = _load_tagged(args.input_a, args.pos_condition, warnings)
     tagged_b = _load_tagged(args.input_b, args.pos_condition, warnings)
 
@@ -182,16 +177,14 @@ def _cmd_pos(args, warnings: Counter) -> None:
         except ValueError as exc:  # a file too short to hold one n-gram
             raise CorplexError(f"n={n}: {exc}") from exc
 
-    if args.format == "tsv":
+    if args.format == "tsv":  # the angle table over n = 2..5
         rows = [(n, compare(n)[1]) for n in range(2, 6)]
-        _write_lines(args.output, report.angle_table_tsv_lines(rows))
-    else:
-        similarity, angle = compare(args.n)
-        payload = {"n": args.n, "similarity": similarity, "angle_degrees": angle}
-        _write_text(args.output, report.render_json(payload))
+        return report.tsv_lines(rows, header=("n", "angle_degrees"))
+    similarity, angle = compare(args.n)
+    return {"n": args.n, "similarity": similarity, "angle_degrees": angle}
 
 
-def _cmd_fog(args, warnings: Counter) -> None:
+def _cmd_fog(args, warnings: Counter):
     if args.pooled and args.format == "tsv":  # the pooled record has no TSV form
         args.usage_error("argument --format: tsv not allowed with argument --pooled")
     docs = _load_docs(args.input, warnings)
@@ -206,17 +199,14 @@ def _cmd_fog(args, warnings: Counter) -> None:
     except ValueError as exc:
         raise CorplexError(str(exc)) from exc
     if args.pooled:
-        payload = {"mode": "pooled", **report._fog_block(pooled)}
-    elif args.format == "tsv":
-        _write_lines(args.output, (f"{doc_id}\t{r.F:.6g}" for doc_id, r in reports))
-        return
-    else:
-        payload = {
-            "mode": "per_document",
-            "group": {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr},
-            "documents": [{"id": doc_id, **report._fog_block(r)} for doc_id, r in reports],
-        }
-    _write_text(args.output, report.render_json(payload))
+        return {"mode": "pooled", **report._fog_block(pooled)}
+    if args.format == "tsv":
+        return report.tsv_lines((doc_id, r.F) for doc_id, r in reports)
+    return {
+        "mode": "per_document",
+        "group": {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr},
+        "documents": [{"id": doc_id, **report._fog_block(r)} for doc_id, r in reports],
+    }
 
 
 def _conflict_record(page_id, score) -> dict:
@@ -262,10 +252,10 @@ def _cmd_conflict(args, warnings: Counter) -> None:
             del history, score, record  # hold no page while the next one is read
     if args.ranking:
         ranked.sort()
-        _write_lines(args.ranking, (f"{page_id}\t{-neg_m}" for neg_m, page_id in ranked))
+        _write(args.ranking, report.tsv_lines((page_id, -neg_m) for neg_m, page_id in ranked))
 
 
-def _cmd_compare(args, warnings: Counter) -> None:
+def _cmd_compare(args, warnings: Counter) -> dict:
     docs_a = _load_docs(args.input_a, warnings)
     docs_b = _load_docs(args.input_b, warnings)
     if args.paired:
@@ -273,7 +263,7 @@ def _cmd_compare(args, warnings: Counter) -> None:
         docs_b = [d for d in docs_b if d.title in titles_a]
         if not docs_b:
             raise CorplexError("paired mode found no title matches in corpus B")
-    result = report.compare_corpora(
+    return report.compare_corpora(
         docs_a,
         docs_b,
         conditions=args.conditions,
@@ -283,28 +273,28 @@ def _cmd_compare(args, warnings: Counter) -> None:
         boundary_policy=args.boundary,
         warnings=warnings,
     )
-    _write_text(args.output, report.render_json(result))
 
 
-def _cmd_plotdata(args, warnings: Counter) -> None:
+def _cmd_plotdata(args, warnings: Counter):
     if args.kind == "pos_dist":
         tagged = _load_tagged(args.input, args.pos_condition, warnings)
         table = posstats.tag_ngram_table(tagged, 1, args.boundary)
         try:
-            result = posstats.pos_distribution(table)
+            rows = posstats.pos_distribution(table)
         except ValueError as exc:  # no tagged sentence
             raise CorplexError(str(exc)) from exc
-    elif args.kind == "ngram_zipf":
+        return report.tsv_lines(rows, header=("tag", "relative_frequency"))
+    if args.kind == "ngram_zipf":
         sections = [lexstats.fold_sentences(g) for g in _sentence_groups(args, warnings)]
-        result = lexstats.count_corpus_ngrams(sections, args.n, args.boundary)
+        ranked = lexstats.count_corpus_ngrams(sections, args.n, args.boundary).ranked()
     else:
         groups = _sentence_groups(args, warnings)
         stream = [t.surface for g in groups for s in g for t in s.tokens]
-        if args.kind == "zipf":
-            result = lexstats.zipf_table(stream)
-        else:
-            result = lexstats.heaps_checkpoints(stream, args.checkpoints)
-    _write_lines(args.output, report.plot_data_lines(result, args.kind))
+        if args.kind == "heaps":
+            return report.tsv_lines(lexstats.heaps_checkpoints(stream, args.checkpoints),
+                                    header=("N", "V"))
+        ranked = lexstats.zipf_table(stream)
+    return report.tsv_lines(((rank, count) for rank, _, count in ranked), header=("rank", "freq"))
 
 
 def build_parser() -> _Parser:
@@ -410,7 +400,9 @@ def main(argv=None) -> int:
         return 1
     warnings: Counter = Counter()  # the command counts, main reports once it returns
     try:
-        args.func(args, warnings)
+        result = args.func(args, warnings)  # computed whole before the output is opened
+        if result is not None:
+            _write(args.output, result)
     except (CorplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -617,7 +617,8 @@ def parse_article_dump(
     """Stream Documents out of an article dump (latest revision per page).
 
     source may be a path or an open stream (binary for xml-export).  Empty
-    pages and (by default) redirects are skipped with counted warnings.
+    pages, pages whose markup nests too deep to strip and (by default)
+    redirects are skipped with counted warnings.
     """
     warnings = warnings if warnings is not None else Counter()
     if format in ("jsonl",):
@@ -640,7 +641,11 @@ def parse_article_dump(
             if skip_redirects and raw.lstrip()[:9].lower() == "#redirect":
                 warnings["redirect_skipped"] += 1
                 continue
-            body = strip_markup(raw, warnings=warnings)
+            try:
+                body = strip_markup(raw, warnings=warnings)
+            except MarkupError:  # one page must not end the whole dump
+                warnings["markup_too_deep"] += 1
+                continue
             if not body:
                 warnings["empty_page"] += 1
                 continue

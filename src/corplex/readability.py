@@ -62,6 +62,7 @@ def gunning_fog(sentences: Sequence[Sentence]) -> FogReport:
     return fog_from_types(type_counts(sentences), len(sentences))
 
 
+# kept beside lexstats.tally_types: bench compare's 80 fogs take 8.9 ms, 13.9 via it (2 vCPUs)
 def fog_from_types(types: Mapping[Token, int], n_sent: int) -> FogReport:
     """Fog report from a token-type -> count table and a sentence count."""
     words = 0

@@ -1,4 +1,4 @@
-"""Corpus comparison reports and plot-data export.
+"""Corpus comparison reports, JSON rendering and TSV formatting.
 
 Reports are reproducible artifacts: floats are rounded to 6 significant
 digits, JSON keys are sorted, and all randomness flows from one recorded
@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import json
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import lexstats, posstats, readability, sampling
 from .errors import CorplexError
@@ -268,41 +268,19 @@ def _condition_blocks(
     return {codes[i]: blocks[i] for i in range(len(codes))}
 
 
-def zipf_tsv_lines(ranked) -> Iterable[str]:
-    yield "rank\tfreq"
-    for rank, _key, count in ranked:
-        yield f"{rank}\t{count}"
+def _cell(value) -> str:
+    if value is None:
+        return "NA"
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
-def heaps_tsv_lines(checkpoints) -> Iterable[str]:
-    yield "N\tV"
-    for n, v in checkpoints:
-        yield f"{n}\t{v}"
+def tsv_lines(rows: Iterable[Sequence], header: Sequence[str] | None = None) -> Iterator[str]:
+    """One tab-separated line per row, after the header when one is given.
 
-
-def pos_dist_tsv_lines(distribution) -> Iterable[str]:
-    yield "tag\trelative_frequency"
-    for tag, freq in distribution:
-        yield f"{tag}\t{freq:.6g}"
-
-
-def plot_data_lines(result, kind: str) -> Iterable[str]:
-    """One plot's TSV lines: zipf/ngram_zipf (rank, freq), heaps (N, V) or
-    pos_dist (tag, relative freq)."""
-    if kind in ("zipf", "ngram_zipf"):
-        ranked = result.ranked() if isinstance(result, lexstats.CountTable) else result
-        return zipf_tsv_lines(ranked)
-    if kind == "heaps":
-        checkpoints = result.checkpoints if isinstance(result, lexstats.HeapsFit) else result
-        return heaps_tsv_lines(checkpoints)
-    if kind == "pos_dist":
-        dist = posstats.pos_distribution(result) if isinstance(result, lexstats.CountTable) else result
-        return pos_dist_tsv_lines(dist)
-    raise ValueError(f"unknown plot kind {kind!r}")
-
-
-def angle_table_tsv_lines(rows: Sequence[tuple[int, float]]) -> Iterable[str]:
-    """Angle-by-n TSV (n = 2..5 shape used for tag n-gram comparisons)."""
-    yield "n\tangle_degrees"
-    for n, angle in rows:
-        yield f"{n}\t{angle:.6g}"
+    A float cell (numpy.float64 included) is written with 6 significant
+    digits, None as NA, and any other cell as str() gives it.
+    """
+    if header is not None:
+        yield "\t".join(header)
+    for row in rows:
+        yield "\t".join(map(_cell, row))

@@ -35,6 +35,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 
 
+@pytest.mark.timing
 def test_criterion_01_fog_formula(verdict):
     rng = SplitMix64(11)
     t0 = time.perf_counter()
@@ -51,6 +52,7 @@ def test_criterion_01_fog_formula(verdict):
             f"50 synthetic count triples, worst |dF| = {worst:.1e}, {elapsed:.2f}s")
 
 
+@pytest.mark.timing
 def test_criterion_02_vocabulary_growth_constant(verdict):
     closed = lexstats.herdan_c(10, 100) == 0.5
     closed = closed and all(lexstats.herdan_c(k, k) == 1.0 for k in (2, 17, 1000))
@@ -138,6 +140,7 @@ def _window_rule_counts(sentences, n):
     return counts
 
 
+@pytest.mark.timing
 def test_criterion_04_boundary_rule_exhaustive(verdict):
     inventory = [tuple(p) for length in range(1, 5)
                  for p in itertools.product("abc", repeat=length)]
@@ -311,6 +314,7 @@ def sharded_counting(million_token_text):
     return serial, parallel, t_serial / t_parallel
 
 
+@pytest.mark.timing
 def test_criterion_10_throughput_and_shard_identity(verdict, million_token_text,
                                                     sharded_counting):
     t0 = time.perf_counter()
@@ -331,6 +335,7 @@ def test_criterion_10_throughput_and_shard_identity(verdict, million_token_text,
             f"4-way counting tables identical")
 
 
+@pytest.mark.timing
 def test_criterion_10_parallel_speedup(verdict, sharded_counting):
     _, _, speedup = sharded_counting
     verdict(10, speedup >= 2.0,

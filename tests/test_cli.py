@@ -211,6 +211,13 @@ class TestStats:
         assert cli.main(["stats", "-"]) == 0
         assert json.loads(capsys.readouterr().out)["N"] > 0
 
+    def test_failure_leaves_no_output_file(self, tmp_path, capsys):
+        src = write_jsonl(tmp_path / "p.jsonl", [{"id": "1", "title": "P", "text": "? !"}])
+        out = tmp_path / "stats.json"
+        assert cli.main(["stats", src, "--condition", "WN", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no sentences left after processing\n"
+        assert not out.exists()
+
 
 class TestNgram:
     def test_word_unigrams_tsv(self, corpus_a, capsys):
@@ -419,6 +426,28 @@ class TestInvalidUtf8:
         assert capsys.readouterr().err == "error: invalid UTF-8 byte 0xe9 [line 2]\n"
 
 
+@pytest.mark.parametrize("args, stdin", [
+    (["pos", "{in}", "{tags}"], "tags"),
+    (["ngram", "{in}", "--kind", "tag", "--n", "2"], "tags"),
+    (["plotdata", "{in}", "--kind", "pos_dist", "-o", "-"], "tags"),
+    (["stats", "{a}", "--exclude-patterns", "{in}"], "patterns"),
+], ids=["pos", "ngram_tag", "plotdata_pos_dist", "stats_exclude_patterns"])
+def test_dash_reads_tagged_text_and_patterns_from_stdin(args, stdin, corpus_a, tags,
+                                                        tmp_path, capsys, monkeypatch):
+    patterns = tmp_path / "patterns.txt"
+    patterns.write_text("quick brown\n")
+    source = {"tags": Path(tags), "patterns": patterns}[stdin]
+
+    def run(input_path):
+        argv = [a.format(**{"in": input_path, "a": corpus_a, "tags": tags}) for a in args]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        return capsys.readouterr()
+
+    from_file = run(str(source))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(source.read_bytes())))
+    assert run("-") == from_file
+
+
 class TestDegenerateInputs:
     """An input with nothing to measure is a data error: exit 2, one error line."""
 
@@ -467,7 +496,7 @@ def test_write_lines_does_not_join_its_lines(tmp_path):
     out = tmp_path / "out.txt"
     tracemalloc.start()
     try:
-        cli._write_lines(str(out), lines)
+        cli._write(str(out), lines)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -197,6 +197,18 @@ class TestArticleDump:
         assert docs == []
         assert warnings["empty_page"] == 1
 
+    def test_too_deep_page_warned_and_skipped(self):
+        deep = "".join("{{" + c for c in "abcdefghijklmnopq") + "X" + "}}" * 17
+        dump = xml_dump(
+            xml_page("One", 1, [(10, "2008-01-01T00:00:00Z", USER_A, "first body")]),
+            xml_page("Deep", 2, [(11, "2008-01-01T00:00:00Z", USER_A, deep)]),
+            xml_page("Three", 3, [(12, "2008-01-01T00:00:00Z", USER_A, "third body")]),
+        )
+        warnings = Counter()
+        docs = list(parse_article_dump(io.BytesIO(dump), warnings=warnings))
+        assert [d.body for d in docs] == ["first body", "third body"]
+        assert warnings == Counter(markup_too_deep=1)
+
     def test_concatenated_dumps(self):
         d1 = xml_dump(xml_page("A", 1, [(10, "2008-01-01T00:00:00Z", USER_A, "one")]))
         d2 = xml_dump(xml_page("B", 2, [(11, "2008-01-01T00:00:00Z", USER_A, "two")]))

@@ -74,12 +74,14 @@ STRIP_SHAPES = {
 }
 
 
+@pytest.mark.timing
 @pytest.mark.parametrize("shape", sorted(STRIP_SHAPES))
 def test_strip_markup_doubling(shape):
     ratio, n = doubling_ratio(STRIP_SHAPES[shape], strip, 256)
     assert ratio <= MAX_RATIO, f"{shape}: {n} -> {2 * n} chars cost x{ratio:.2f}"
 
 
+@pytest.mark.timing
 def test_chunker_doubling_on_one_large_page():
     def make(n):
         return b"<mediawiki><page><title>P</title>" + b"x" * n + b"</page></mediawiki>"
@@ -100,6 +102,7 @@ def test_chunker_doubling_on_one_large_page():
 Rev = namedtuple("Rev", "page_id rev_index timestamp editor raw_text")
 
 
+@pytest.mark.timing
 @pytest.mark.parametrize("policy", ["latest", "earliest"])
 def test_detect_reverts_doubling_on_ping_pong(policy):
     def make(n):

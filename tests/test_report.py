@@ -1,4 +1,4 @@
-"""Comparison report assembly, canonical JSON and plot-data export."""
+"""Comparison report assembly, canonical JSON and TSV lines."""
 
 import hashlib
 import json
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from corplex import lexstats, posstats, readability, report
 from corplex.errors import CorplexError
 from corplex.ingest import Document
-from corplex.lexstats import CountTable, HeapsFit
 from corplex.sampling import ConditionSpec
 from corplex.textpipe import split_sentences, tokenize
 
@@ -327,39 +326,19 @@ class TestCorpusBlockFog:
         assert block["fog"]["words"] == direct.words
 
 
-def _plot_text(result, kind):
-    return "".join(line + "\n" for line in report.plot_data_lines(result, kind))
-
-
-class TestPlotData:
-    def test_zipf_lines(self):
-        table = lexstats.ngram_counts([("a",), ("b",), ("a",)], 1, "postprocessed")
-        assert _plot_text(table, "zipf") == "rank\tfreq\n1\t2\n2\t1\n"
-
-    def test_ngram_zipf_same_format(self):
-        table = CountTable(2, {("a", "b"): 4, ("b", "c"): 1})
-        assert _plot_text(table, "ngram_zipf") == "rank\tfreq\n1\t4\n2\t1\n"
-
-    def test_heaps_from_checkpoints(self):
-        assert _plot_text([(1, 1), (2, 2), (3, 3)], "heaps") == "N\tV\n1\t1\n2\t2\n3\t3\n"
-
-    def test_heaps_from_fit(self):
-        fit = HeapsFit(exponent=0.5, intercept=0.0, stderr=0.0, checkpoints=((10, 3), (20, 5)))
-        assert _plot_text(fit, "heaps") == "N\tV\n10\t3\n20\t5\n"
-
-    def test_pos_dist_from_table(self):
-        table = CountTable(1, {("NN",): 3, ("DT",): 1})
-        assert _plot_text(table, "pos_dist") == "tag\trelative_frequency\nNN\t0.75\nDT\t0.25\n"
-
-    def test_pos_dist_precomputed(self):
-        assert _plot_text([("VB", 1.0)], "pos_dist") == "tag\trelative_frequency\nVB\t1\n"
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="plot kind"):
-            report.plot_data_lines([], "scatter")
-
-
-class TestAngleTable:
-    def test_lines(self):
-        rows = list(report.angle_table_tsv_lines([(2, 7.7), (3, 12.345678)]))
+class TestTsvLines:
+    def test_header_then_rows(self):
+        rows = list(report.tsv_lines([(2, 7.7), (3, 12.345678)], header=("n", "angle_degrees")))
         assert rows == ["n\tangle_degrees", "2\t7.7", "3\t12.3457"]
+
+    def test_without_header(self):
+        assert list(report.tsv_lines([("a", 1), ("b", 22)])) == ["a\t1", "b\t22"]
+        assert list(report.tsv_lines([])) == []
+
+    def test_floats_to_six_significant_digits(self):
+        cells = [0.75, 2.0, 1e-07, 123456789.0, np.float64(1 / 3), -0.0]
+        assert list(report.tsv_lines([cells])) == ["0.75\t2\t1e-07\t1.23457e+08\t0.333333\t-0"]
+
+    def test_none_is_na_and_other_cells_are_str(self):
+        rows = [("C", None), ("V", 221), ("ok", True), ("tag", "NN")]
+        assert list(report.tsv_lines(rows)) == ["C\tNA", "V\t221", "ok\tTrue", "tag\tNN"]
