@@ -199,13 +199,13 @@ def _cmd_fog(args, warnings: Counter):
     except ValueError as exc:
         raise CorplexError(str(exc)) from exc
     if args.pooled:
-        return {"mode": "pooled", **report._fog_block(pooled)}
+        return {"mode": "pooled", **pooled._asdict()}
     if args.format == "tsv":
         return report.tsv_lines((doc_id, r.F) for doc_id, r in reports)
     return {
         "mode": "per_document",
         "group": {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr},
-        "documents": [{"id": doc_id, **report._fog_block(r)} for doc_id, r in reports],
+        "documents": [{"id": doc_id, **r._asdict()} for doc_id, r in reports],
     }
 
 
@@ -354,7 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pooled", action="store_true")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
     p.add_argument("--output", "-o", default="-")
-    p.set_defaults(func=_cmd_fog, usage_error=p.error)
+    p.set_defaults(func=_cmd_fog)
 
     p = sub.add_parser("conflict", help="controversy scores from a history dump")
     p.add_argument("input")
@@ -389,7 +389,12 @@ def build_parser() -> _Parser:
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=_cmd_plotdata)
 
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
+
+
+_INPUTS = ("input", "input_a", "input_b", "exclude_patterns")  # the arguments that read a path
 
 
 def main(argv=None) -> int:
@@ -398,6 +403,9 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
+    stdin_inputs = [getattr(args, name, None) for name in _INPUTS].count("-")
+    if stdin_inputs > 1:
+        args.usage_error(f"stdin (-) can feed one input only, got {stdin_inputs}")
     warnings: Counter = Counter()  # the command counts, main reports once it returns
     try:
         result = args.func(args, warnings)  # computed whole before the output is opened

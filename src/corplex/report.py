@@ -55,15 +55,6 @@ def _group_block(stats: readability.GroupStats) -> dict:
     }
 
 
-def _fog_block(report: readability.FogReport) -> dict:
-    return {
-        "words": report.words,
-        "sentences": report.sentences,
-        "complex_words": report.complex_words,
-        "F": report.F,
-    }
-
-
 def _corpus_block(sentences: list[Sentence]) -> tuple[dict, dict[str, int]]:
     """A corpus's block and its types folded by lowercase.
 
@@ -74,7 +65,7 @@ def _corpus_block(sentences: list[Sentence]) -> tuple[dict, dict[str, int]]:
     block = lexstats.corpus_measures(tally, len(sentences))
     try:
         fog = readability.FogReport.from_counts(tally.words, len(sentences), tally.complex_words)
-        block["fog"] = _fog_block(fog)
+        block["fog"] = fog._asdict()
     except ValueError:  # no word-kind tokens survived the condition
         block["fog"] = None
     return block, tally.folded
@@ -155,112 +146,93 @@ def compare_corpora(
     return report
 
 
-def _condition_blocks(
-    codes, lines, sample_a, groups_b, ngram_max_n, seed, boundary_policy
-) -> dict:
+class _Side:
+    """One corpus side under one processing: its block, folded sentences and
+    folded type counts, which are dropped once the n = 1 table is built."""
+
+    __slots__ = ("block", "folded", "unigrams")
+
+    def __init__(self, sentences: list[Sentence]):
+        self.block, self.unigrams = _corpus_block(sentences)
+        self.block["ngram_entropy_bits"] = {}
+        self.folded = lexstats.fold_sentences(sentences)
+
+    def table(self, n: int, boundary_policy: str) -> lexstats.CountTable:
+        """The side's n-gram table; its entropy goes into the block."""
+        table = lexstats.corpus_table(self.folded, self.unigrams, n, boundary_policy)
+        self.unigrams = None
+        entropy = lexstats.table_entropy(table) if table.total else 0.0
+        self.block["ngram_entropy_bits"][str(n)] = entropy
+        return table
+
+
+def _condition_blocks(codes, lines, sample_a, groups_b, ngram_max_n, seed,
+                      boundary_policy) -> dict:
     """Each code's block, in the caller's order, with A measured once per processing.
 
-    C and W change only how B is balanced, so codes that share punctuation
-    and stemming policies share A's sentences, corpus block and n-gram
-    tables.  For each n, A's table is counted once and then each code's B
-    table, so no more tables are alive at once than with one code at a time.
-    lexstats.corpus_table builds each table from the corpus's folded
-    sentences and its block's folded type counts, which are dropped once the
-    n = 1 tables are built.
-    Each code meets its errors in the order one-code-at-a-time evaluation
-    would, and the error raised is that of the earliest failing code in the
-    caller's order; codes after a failure are left unmeasured.
+    Codes sharing punctuation and stemming policies share A's side.  Per n, A's
+    table is counted once, then each code's B table: no more tables are alive
+    than with one code at a time.  Each code meets its errors in one-code-at-a-time
+    order (draw, A, B, tables); the error of the earliest failing code is raised.
     """
     codes = list(dict.fromkeys(codes))  # a repeated code gives the same block again
     errors: dict[int, Exception] = {}  # position in codes -> its first error
-
-    def measured(i: int) -> bool:  # not failed, and no earlier code has
-        return not errors or i < min(errors)
-
     processings: dict[tuple[str, str], list] = {}
     for i, code in enumerate(codes):
         try:
             cond = sampling.ConditionSpec.parse(code)
+            processings.setdefault((cond.punctuation, cond.stemming), []).append((i, cond))
         except ValueError as exc:
             errors[i] = exc
-            break
-        processings.setdefault((cond.punctuation, cond.stemming), []).append((i, cond))
 
     blocks: dict[int, dict] = {}
     for members in processings.values():
-        sentences_a = lines.apply(sample_a.lines, members[0][1])
-        try:
-            (block_a, unigrams_a), error_a = _corpus_block(sentences_a), None
-        except ValueError as exc:
-            block_a, unigrams_a, error_a = None, None, exc
-        folded_b = {}  # position -> B's sentences folded for counting
-        unigrams_b = {}  # position -> B's folded type counts, until n = 1 is built
+        side_a, drawn = None, {}  # position -> (condition, B's sample, B's side)
         for i, cond in members:
-            if not measured(i):
-                continue
-            unit, target = cond.unit, sample_a.size(cond.unit)
             try:
                 sample_b = sampling.build_balanced_sample_grouped(
-                    groups_b, target, unit, _condition_seed(seed, codes[i])
-                )
-                if error_a is not None:
-                    raise error_a
-                sentences_b = lines.apply(sample_b.lines, cond)
-                block_b, unigrams_b[i] = _corpus_block(sentences_b)
+                    groups_b, sample_a.size(cond.unit), cond.unit, _condition_seed(seed, codes[i]))
+                if side_a is None:
+                    side_a = _Side(lines.apply(sample_a.lines, cond))
+                drawn[i] = cond, sample_b, _Side(lines.apply(sample_b.lines, cond))
             except (ValueError, CorplexError) as exc:
                 errors[i] = exc
-                continue
-            folded_b[i] = lexstats.fold_sentences(sentences_b)
-            del sentences_b
-            c_a, c_b = block_a["C"], block_b["C"]
-            block = blocks[i] = {
-                "a": copy.deepcopy(block_a),  # each code owns its blocks
-                "b": block_b,
+
+        cosines = {i: {} for i in drawn}
+        for n in range(1, ngram_max_n + 1):
+            table_a = None  # counted for the first code still measured
+            for i, (_, _, side_b) in drawn.items():
+                if i in errors:
+                    continue
+                try:
+                    if table_a is None:
+                        table_a = side_a.table(n, boundary_policy)
+                    similarity, angle = posstats.cosine_angle(
+                        table_a, side_b.table(n, boundary_policy))
+                    cosines[i][str(n)] = {"similarity": similarity, "angle_degrees": angle}
+                except ValueError as exc:
+                    errors[i] = exc
+
+        for i in drawn.keys() - errors.keys():
+            cond, sample_b, side_b = drawn[i]
+            a, b, unit = side_a.block, side_b.block, cond.unit
+            blocks[i] = {
+                "a": copy.deepcopy(a),  # each code owns its blocks
+                "b": b,
                 "sample_b": {
-                    "target": target,
+                    "target": sample_a.size(unit),
                     "achieved": sample_b.size(unit),
                     "size_ratio": sampling.size_ratio(sample_b, sample_a, unit),
                     "balanced": sampling.balanced(sample_b, sample_a, unit),
                     "lines": len(sample_b.lines),
                 },
                 "cross": {
-                    "C_ratio": (c_a / c_b) if (c_a and c_b) else None,
-                    "entropy_delta_bits": {},
-                    "cosine_angles": {},
+                    "C_ratio": (a["C"] / b["C"]) if (a["C"] and b["C"]) else None,
+                    "entropy_delta_bits": {n: h - b["ngram_entropy_bits"][n]
+                                           for n, h in a["ngram_entropy_bits"].items()},
+                    "cosine_angles": cosines[i],
                 },
             }
-            block["a"]["ngram_entropy_bits"] = {}
-            block_b["ngram_entropy_bits"] = {}
-
-        # each table serves both its corpus's entropy and the A/B cosine
-        folded_a = lexstats.fold_sentences(sentences_a)
-        del sentences_a
-        for n in range(1, ngram_max_n + 1):
-            live = [i for i in folded_b if measured(i)]
-            if not live:
-                break
-            key = str(n)
-            try:
-                table_a = lexstats.corpus_table(folded_a, unigrams_a, n, boundary_policy)
-            except ValueError as exc:
-                errors.update(dict.fromkeys(live, exc))
-                break
-            unigrams_a = None
-            entropy_a = lexstats.table_entropy(table_a) if table_a.total else 0.0
-            for i in live:
-                try:
-                    table_b = lexstats.corpus_table(
-                        folded_b[i], unigrams_b.pop(i, None), n, boundary_policy)
-                    similarity, angle = posstats.cosine_angle(table_a, table_b)
-                except ValueError as exc:
-                    errors[i] = exc
-                    continue
-                entropy_b = lexstats.table_entropy(table_b) if table_b.total else 0.0
-                block, cross = blocks[i], blocks[i]["cross"]
-                block["a"]["ngram_entropy_bits"][key] = entropy_a
-                block["b"]["ngram_entropy_bits"][key] = entropy_b
-                cross["entropy_delta_bits"][key] = entropy_a - entropy_b
-                cross["cosine_angles"][key] = {"similarity": similarity, "angle_degrees": angle}
 
     if errors:
         first = min(errors)

@@ -448,6 +448,24 @@ def test_dash_reads_tagged_text_and_patterns_from_stdin(args, stdin, corpus_a, t
     assert run("-") == from_file
 
 
+@pytest.mark.parametrize("args", [
+    ["stats", "-", "--exclude-patterns", "-"],
+    ["pos", "-", "-"],
+    ["compare", "-", "-"],
+    ["compare", "{a}", "-", "--exclude-patterns", "-"],
+], ids=["stats", "pos", "compare", "compare_exclude_patterns"])
+def test_two_inputs_from_stdin_are_a_usage_error(args, corpus_a, capsys, monkeypatch):
+    text = "".join(json.dumps(r) + "\n" for r in A_DOCS)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    with pytest.raises(SystemExit) as err:
+        cli.main([a.format(a=corpus_a) for a in args])
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: corplex " + args[0])
+    assert "stdin (-) can feed one input only" in stderr
+    assert capsys.readouterr().out == ""
+
+
 class TestDegenerateInputs:
     """An input with nothing to measure is a data error: exit 2, one error line."""
 

@@ -145,7 +145,7 @@ def old_corpus_block(sentences):
     V, N = old_type_token_counts(stream)
     stats = old_corpus_stats(sentences)
     try:
-        fog = report._fog_block(old_gunning_fog(sentences))
+        fog = old_gunning_fog(sentences)._asdict()
     except ValueError:
         fog = None
     return {
@@ -521,7 +521,7 @@ def parent_corpus_block(sentences):
     types = type_counts(sentences)
     block = parent_corpus_measures(types, len(sentences))
     try:
-        block["fog"] = report._fog_block(parent_fog_from_types(types, len(sentences)))
+        block["fog"] = parent_fog_from_types(types, len(sentences))._asdict()
     except ValueError:
         block["fog"] = None
     return block

@@ -1,5 +1,6 @@
 """Comparison report assembly, canonical JSON and TSV lines."""
 
+import gc
 import hashlib
 import json
 import math
@@ -310,6 +311,42 @@ class TestCompare:
         # postprocessed trigram drops, so WN and CN fail at n = 3 and CB does not
         with pytest.raises(CorplexError, match="^condition WN: cosine_angle needs two non-empty"):
             report.compare_corpora([doc(4, "Hello.")], DOCS, conditions=["CB", "WN", "CN"], seed=0)
+
+    def test_a_left_without_a_sentence_names_earliest_code(self):
+        # the patterns drop every line of A and none of B; fog reads the
+        # unexcluded text, so the error comes from A's corpus block
+        b_docs = [doc(10 + k, "Farmers planted wheat along the southern ridge.") for k in range(12)]
+        with pytest.raises(CorplexError,
+                           match="^condition WB: corpus_stats needs at least one sentence"):
+            report.compare_corpora(DOCS, b_docs, conditions=["WB", "CB", "WN"], seed=0,
+                                   exclude_patterns=["fox", "Birds", "committee", "Rain"])
+
+    def test_unknown_boundary_policy_names_earliest_code(self):
+        with pytest.raises(CorplexError, match="^condition WB: unknown boundary policy 'bogus'"):
+            report.compare_corpora(DOCS, DOCS + EXTRA, conditions=["WB", "CB", "WN"], seed=0,
+                                   boundary_policy="bogus")
+
+    def test_at_most_three_tables_alive(self, monkeypatch):
+        def alive():
+            return sum(isinstance(o, lexstats.CountTable) for o in gc.get_objects())
+
+        real = lexstats.corpus_table
+        counts = []
+
+        def spying(*args, **kwargs):
+            table = real(*args, **kwargs)
+            counts.append(alive() - before)
+            return table
+
+        monkeypatch.setattr(lexstats, "corpus_table", spying)
+        gc.collect()
+        before = alive()
+        report.compare_corpora(DOCS, DOCS + EXTRA, seed=0, ngram_max_n=4)
+        # one A and one B table per code and n, one A table per processing and n
+        assert len(counts) == 8 * 4 + 4 * 4
+        # A's table and B's, plus at most one left from the step before; a
+        # cache of A's tables across codes would hold ngram_max_n of them
+        assert max(counts) <= 3
 
 
 class TestCorpusBlockFog:
