@@ -110,6 +110,14 @@ def _sentence_groups(args, warnings: Counter) -> list:
     return groups
 
 
+def _ngram_table(sections: list, args, processes: int = 1) -> lexstats.CountTable:
+    """args.n's table over sections, or a data error when it is empty."""
+    table = lexstats.count_corpus_ngrams(sections, args.n, args.boundary, processes=processes)
+    if table.total < 1:
+        raise CorplexError("empty n-gram table")
+    return table
+
+
 def _cmd_extract(args, warnings: Counter) -> None:
     docs = parse_article_dump(
         _input(args.input),
@@ -122,6 +130,8 @@ def _cmd_extract(args, warnings: Counter) -> None:
 
 
 def _cmd_sample(args, warnings: Counter) -> None:
+    if args.output == "-":  # the prefix of two files
+        args.usage_error("argument --output/-o: sample takes a file prefix, not -")
     docs = _load_docs(args.input, warnings)
     unit = sampling.CHARACTER if args.unit.startswith("char") else sampling.WORD_UNIT
     groups = [sampling.doc_lines(doc) for doc in docs]
@@ -149,11 +159,7 @@ def _cmd_ngram(args, warnings: Counter):
         sections = [lexstats.fold_sentences(g) for g in _doc_sentence_groups(args, warnings)]
     else:
         sections = [[s.tags() for s in _load_tagged(args.input, args.pos_condition, warnings)]]
-    table = lexstats.count_corpus_ngrams(
-        sections, args.n, args.boundary, processes=args.processes
-    )
-    if table.total < 1:
-        raise CorplexError("empty n-gram table")
+    table = _ngram_table(sections, args, args.processes)
     if args.format == "tsv":
         return table.to_tsv_lines()
     return {
@@ -209,27 +215,18 @@ def _cmd_fog(args, warnings: Counter):
     }
 
 
+def _pair(x, y, weight) -> dict:
+    return {"x": x, "y": y, "weight": weight}
+
+
 def _conflict_record(page_id, score) -> dict:
     return {
         "page_id": page_id,
         "M": score.M,
         "E": score.E,
-        "pairs": [{"x": x, "y": y, "weight": w} for x, y, w in score.pairs],
-        "excluded_pair": (
-            {"x": score.excluded_pair[0], "y": score.excluded_pair[1], "weight": score.excluded_pair[2]}
-            if score.excluded_pair
-            else None
-        ),
-        "revert_events": [
-            {
-                "restored_rev": e.restored_rev,
-                "reverting_rev": e.reverting_rev,
-                "reverting_editor": e.reverting_editor,
-                "reverted_editor": e.reverted_editor,
-                "self_revert": e.self_revert,
-            }
-            for e in score.events
-        ],
+        "pairs": [_pair(*p) for p in score.pairs],
+        "excluded_pair": _pair(*score.excluded_pair) if score.excluded_pair else None,
+        "revert_events": [e._asdict() for e in score.events],
     }
 
 
@@ -284,17 +281,20 @@ def _cmd_plotdata(args, warnings: Counter):
         except ValueError as exc:  # no tagged sentence
             raise CorplexError(str(exc)) from exc
         return report.tsv_lines(rows, header=("tag", "relative_frequency"))
+    groups = _sentence_groups(args, warnings)
     if args.kind == "ngram_zipf":
-        sections = [lexstats.fold_sentences(g) for g in _sentence_groups(args, warnings)]
-        ranked = lexstats.count_corpus_ngrams(sections, args.n, args.boundary).ranked()
+        ranked = _ngram_table([lexstats.fold_sentences(g) for g in groups], args).ranked()
     else:
-        groups = _sentence_groups(args, warnings)
         stream = [t.surface for g in groups for s in g for t in s.tokens]
         if args.kind == "heaps":
             return report.tsv_lines(lexstats.heaps_checkpoints(stream, args.checkpoints),
                                     header=("N", "V"))
         ranked = lexstats.zipf_table(stream)
     return report.tsv_lines(((rank, count) for rank, _, count in ranked), header=("rank", "freq"))
+
+
+# --output for the commands that do not default to stdout
+_OUTPUT = {"sample": {"default": "sample"}, "plotdata": {"required": True}}
 
 
 def build_parser() -> _Parser:
@@ -306,7 +306,6 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--format", choices=["xml", "xml-export", "jsonl"], default="xml-export")
     p.add_argument("--keep-redirects", action="store_true")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("sample", help="balanced sample + manifest")
@@ -315,7 +314,6 @@ def build_parser() -> _Parser:
     p.add_argument("--unit", choices=["character", "char", "word"], default="word")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--granularity", choices=["article", "line"], default="article")
-    p.add_argument("--output", "-o", default="sample")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("stats", help="V, N, C, entropy, corpus ratios")
@@ -323,7 +321,6 @@ def build_parser() -> _Parser:
     p.add_argument("--condition", choices=sampling.ConditionSpec.all_codes(), default="WB")
     p.add_argument("--exclude-patterns")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("ngram", help="word or tag n-gram table")
@@ -336,7 +333,6 @@ def build_parser() -> _Parser:
     p.add_argument("--exclude-patterns")
     p.add_argument("--processes", type=_positive_int, default=1)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=_cmd_ngram)
 
     p = sub.add_parser("pos", help="compare tag n-gram distributions")
@@ -346,21 +342,18 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--boundary", choices=["raw", "post"], default="post")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=_cmd_pos)
 
     p = sub.add_parser("fog", help="readability per document or pooled")
     p.add_argument("input")
     p.add_argument("--pooled", action="store_true")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=_cmd_fog)
 
     p = sub.add_parser("conflict", help="controversy scores from a history dump")
     p.add_argument("input")
     p.add_argument("--match", choices=["latest", "earliest"], default="latest")
     p.add_argument("--ranking", help="also write a page_id/M TSV, descending")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=_cmd_conflict)
 
     p = sub.add_parser("compare", help="full balanced comparison report")
@@ -374,7 +367,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--boundary", choices=["raw", "post"], default="post")
     p.add_argument("--exclude-patterns")
-    p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("plotdata", help="TSV data behind the standard plots")
@@ -386,10 +378,10 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoints", type=_positive_int, default=50)
     p.add_argument("--boundary", choices=["raw", "post"], default="post")
     p.add_argument("--exclude-patterns")
-    p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=_cmd_plotdata)
 
-    for p in sub.choices.values():
+    for name, p in sub.choices.items():  # --output last, so the help lists it last
+        p.add_argument("--output", "-o", **_OUTPUT.get(name, {"default": "-"}))
         p.set_defaults(usage_error=p.error)
     return parser
 

@@ -159,5 +159,4 @@ def pos_distribution(table: CountTable) -> list[tuple[str, float]]:
         raise ValueError(f"pos_distribution needs a unigram table, got n={table.n}")
     if table.total < 1:
         raise ValueError("pos_distribution needs a non-empty table")
-    ordered = sorted(table.entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(key[0], count / table.total) for key, count in ordered]
+    return [(key[0], count / table.total) for _, key, count in table.ranked()]

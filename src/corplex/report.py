@@ -47,12 +47,7 @@ def render_json(payload, round_floats: bool = True) -> str:
 
 
 def _group_block(stats: readability.GroupStats) -> dict:
-    return {
-        "n": stats.n,
-        "mean": stats.mean,
-        "stderr": stats.stderr,
-        "variance": stats.variance,
-    }
+    return {**stats._asdict(), "stderr": stats.stderr}
 
 
 def _corpus_block(sentences: list[Sentence]) -> tuple[dict, dict[str, int]]:

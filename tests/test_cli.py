@@ -177,6 +177,14 @@ class TestSample:
                          "-o", str(tmp_path / "s")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_dash_output_is_a_usage_error(self, corpus_a, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sample", corpus_a, "--target", "30", "-o", "-"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: corplex sample")
+        assert list(tmp_path.iterdir()) == [Path(corpus_a)]  # no "-.txt" or "-.manifest.json"
+
 
 class TestStats:
     def test_json_fields(self, corpus_a, capsys):
@@ -508,6 +516,12 @@ class TestDegenerateInputs:
         assert err == "error: no sentences left after processing\n"
         assert not out.exists()
 
+    def test_plotdata_with_an_empty_ngram_table(self, corpus_a, tmp_path, capsys):
+        out = tmp_path / "plot.tsv"
+        argv = ["plotdata", corpus_a, "--kind", "ngram_zipf", "--n", "500", "-o", str(out)]
+        assert self.exits_with_one_error(argv, capsys) == "error: empty n-gram table\n"
+        assert not out.exists()
+
 
 def test_write_lines_does_not_join_its_lines(tmp_path):
     lines = [f"{i:0100d}" for i in range(100_000)]  # 100 characters each, about 10 MB joined
@@ -647,6 +661,41 @@ def test_out_of_range_arguments_are_usage_errors(args, corpus_a, tags, tmp_path,
     stderr = capsys.readouterr().err
     assert stderr.startswith("usage: corplex " + args[0])
     assert "Traceback" not in stderr
+
+
+# command -> (the options it requires besides --output, its positionals)
+REQUIRED_ARGS = {
+    "extract": ([], "input"),
+    "sample": (["--target", "1"], "input"),
+    "stats": ([], "input"),
+    "ngram": (["--n", "1"], "input"),
+    "pos": ([], "input_a input_b"),
+    "fog": ([], "input"),
+    "conflict": ([], "input"),
+    "compare": ([], "input_a input_b"),
+    "plotdata": (["--kind", "zipf"], "input"),
+}
+
+
+@pytest.mark.parametrize("cmd", REQUIRED_ARGS)
+def test_output_is_the_last_option(cmd, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as err:
+        cli.main([cmd, "--help"])
+    assert err.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    output = "--output OUTPUT" if cmd == "plotdata" else "[--output OUTPUT]"
+    assert usage.endswith(f" {output} {REQUIRED_ARGS[cmd][1]}"), usage
+
+
+@pytest.mark.parametrize("cmd", REQUIRED_ARGS)
+def test_output_default(cmd):
+    options, positionals = REQUIRED_ARGS[cmd]
+    argv = [cmd, *options, *positionals.split()]
+    if cmd == "plotdata":  # the one command without a default
+        argv += ["-o", "plot.tsv"]
+    expected = {"sample": "sample", "plotdata": "plot.tsv"}.get(cmd, "-")
+    assert cli.build_parser().parse_args(argv).output == expected
 
 
 DATA = Path(__file__).parent / "data"
