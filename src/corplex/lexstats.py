@@ -232,7 +232,8 @@ def _postprocess_window(window: tuple[str, ...]):
     The marker nearest the window center governs; an exact distance tie drops
     the window, as does a marker sitting dead center of an odd window.
     Otherwise every position on the governing marker's shorter side (fewer
-    non-marker symbols; side length as fallback) becomes a marker.
+    non-marker symbols; side length as fallback) becomes a marker.  A result
+    that is all markers, or has a marker dead center of an odd window, drops.
     """
     n = len(window)
     positions = [i for i, sym in enumerate(window) if sym == BOUNDARY]
@@ -270,7 +271,8 @@ def _postprocess_window(window: tuple[str, ...]):
     else:
         for i in range(best + 1, n):
             out[i] = BOUNDARY
-    if all(sym == BOUNDARY for sym in out):
+    # marking a side can move a marker onto the center of an odd window
+    if all(sym == BOUNDARY for sym in out) or (n % 2 and out[n // 2] == BOUNDARY):
         return None
     return tuple(out)
 

@@ -42,6 +42,9 @@ TAG_LINES = [
     "Dogs/NNS bark/VBP loudly/RB ./.",
 ]
 
+DATA = Path(__file__).parent / "data"
+EDGE = str(DATA / "edge_cases.jsonl")
+
 
 def write_jsonl(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -251,6 +254,26 @@ class TestNgram:
         src = write_jsonl(tmp_path / "p.jsonl", [{"id": "1", "title": "P", "text": "? !"}])
         assert cli.main(["ngram", src, "--n", "1", "--condition", "WN"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+SHORT_SENTENCES = [{"id": "1", "title": "S",
+                    "text": "Go. Run. It is. Then the rest of it goes on and on."}]
+
+
+class TestLongWindows:
+    """Windows from n = 9 on, where marking a shorter side can reach the center."""
+
+    @pytest.mark.parametrize("args", [
+        ["ngram", EDGE, "--n", "13"],
+        ["ngram", EDGE, "--n", "11", "--condition", "WN"],
+        ["ngram", "{short}", "--n", "13", "--condition", "WN"],
+        ["plotdata", "{short}", "--kind", "ngram_zipf", "--n", "13", "--condition", "WN",
+         "-o", "-"],
+        ["compare", "{short}", "{short}", "--ngram-max-n", "13", "--conditions", "WN"],
+    ])
+    def test_exits_0(self, args, tmp_path):
+        short = write_jsonl(tmp_path / "short.jsonl", SHORT_SENTENCES)
+        assert cli.main([a.replace("{short}", short) for a in args]) == 0
 
 
 class TestPos:
@@ -697,9 +720,6 @@ def test_output_default(cmd):
     expected = {"sample": "sample", "plotdata": "plot.tsv"}.get(cmd, "-")
     assert cli.build_parser().parse_args(argv).output == expected
 
-
-DATA = Path(__file__).parent / "data"
-EDGE = str(DATA / "edge_cases.jsonl")
 
 # shape -> (fixture to mutate, argv); "{src}" is the mutated copy and "{out}"
 # a scratch directory, so every argv is valid and no output reaches stdout

@@ -164,10 +164,15 @@ class TestNgramPostprocessing:
         assert got == {(BOUNDARY, "a"): 1, ("a", "b"): 1, ("b", BOUNDARY): 1}
 
     def test_no_center_marker_invariant(self):
-        sents = [("a",), ("b", "c", "a"), ("c",), ("a", "b")]
-        for n in (3, 5):
-            for key in ngram_counts(sents, n).entries:
-                assert key[n // 2] != BOUNDARY
+        for sents in (
+            [("a",), ("b", "c", "a"), ("c",), ("a", "b")],
+            # one-token sentences: at n = 13 the window "§w§w§ww§wwwww" marks
+            # its shorter side up to the center
+            [("go",), ("run",), ("it", "is"), ("then", "the", "rest", "of", "it", "goes", "on")],
+        ):
+            for n in range(3, 16, 2):
+                for key in ngram_counts(sents, n).entries:
+                    assert key[n // 2] != BOUNDARY, (n, key)
 
     def test_empty_input(self):
         assert ngram_counts([], 2).total == 0
