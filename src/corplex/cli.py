@@ -210,7 +210,7 @@ def _cmd_fog(args, warnings: Counter):
         return report.tsv_lines((doc_id, r.F) for doc_id, r in reports)
     return {
         "mode": "per_document",
-        "group": {"n": stats.n, "mean": stats.mean, "stderr": stats.stderr},
+        "group": report._group_block(stats),
         "documents": [{"id": doc_id, **r._asdict()} for doc_id, r in reports],
     }
 

@@ -7,8 +7,8 @@ end.  Markers never span sections, so counting a corpus section-by-section
 and merging the tables is exactly the single-pass result.  Windows are
 counted raw, at C speed; the postprocessed policy then applies the boundary
 rule to each distinct window holding a marker.  The rule reads only where
-the markers sit, so it is looked up in a table keyed by (n, marker
-bitmask), which _postprocess_window fills the first time a mask turns up.
+the markers sit, so it is stated on a marker bitmask (_mask_action) and
+looked up in a table per n, filled the first time a mask turns up.
 
 Type-level statistics (type_token_counts, zipf_table, unigram_entropy,
 heaps_*) fold surfaces to lowercase.  n-gram counting does not fold: its
@@ -226,57 +226,6 @@ def table_entropy(table: CountTable) -> float:
     return entropy_bits(table.entries.values(), table.total)
 
 
-def _postprocess_window(window: tuple[str, ...]):
-    """Apply the boundary rule to one window; None means the window is dropped.
-
-    The marker nearest the window center governs; an exact distance tie drops
-    the window, as does a marker sitting dead center of an odd window.
-    Otherwise every position on the governing marker's shorter side (fewer
-    non-marker symbols; side length as fallback) becomes a marker.  A result
-    that is all markers, or has a marker dead center of an odd window, drops.
-    """
-    n = len(window)
-    positions = [i for i, sym in enumerate(window) if sym == BOUNDARY]
-    if not positions:
-        return window
-    if len(positions) == n:
-        return None
-    # distances doubled to stay in integers: center sits at (n-1)/2
-    best = positions[0]
-    best_d = abs(2 * best - (n - 1))
-    tie = False
-    for p in positions[1:]:
-        d = abs(2 * p - (n - 1))
-        if d < best_d:
-            best, best_d, tie = p, d, False
-        elif d == best_d:
-            tie = True
-    if tie:
-        return None
-    if n % 2 == 1 and best == (n - 1) // 2:
-        return None
-    left_tokens = sum(1 for i in range(best) if window[i] != BOUNDARY)
-    right_tokens = sum(1 for i in range(best + 1, n) if window[i] != BOUNDARY)
-    if left_tokens != right_tokens:
-        replace_left = left_tokens < right_tokens
-    else:
-        # side lengths best and n-1-best can never tie here: equality would
-        # put the marker dead center, handled above for odd n and impossible
-        # for even n
-        replace_left = best < n - 1 - best
-    out = list(window)
-    if replace_left:
-        for i in range(best):
-            out[i] = BOUNDARY
-    else:
-        for i in range(best + 1, n):
-            out[i] = BOUNDARY
-    # marking a side can move a marker onto the center of an odd window
-    if all(sym == BOUNDARY for sym in out) or (n % 2 and out[n // 2] == BOUNDARY):
-        return None
-    return tuple(out)
-
-
 _KEEP = (0, 0)
 
 
@@ -285,20 +234,31 @@ def _mask_action(n: int, mask: int):
 
     None drops the window; otherwise (left, right): that many leading and
     trailing positions become markers, so _KEEP leaves the window as it is.
-    _postprocess_window reads only where the markers sit, so one stand-in
-    window per mask answers for all windows with that mask.
+    The marker nearest the center governs; a distance tie, or a marker dead
+    center of an odd window, drops the window.  Otherwise every position on
+    its shorter side (fewer non-markers; side length breaks a tie) becomes a
+    marker.  A result that is all markers, or has a marker dead center of an
+    odd window, drops.
     """
-    window = tuple(BOUNDARY if mask >> i & 1 else "" for i in range(n))
-    out = _postprocess_window(window)
-    if out is None:
-        return None
-    if out == window:
+    if not mask:
         return _KEEP  # the one object _count_sections tests for by identity
-    # the rule marks a prefix or a suffix, so everything between the first
-    # and the last non-marker of its output is the window unchanged
-    left = next(i for i, sym in enumerate(out) if sym != BOUNDARY)
-    right = next(i for i, sym in enumerate(reversed(out)) if sym != BOUNDARY)
-    return left, right
+    # distances doubled to stay in integers: the center sits at (n-1)/2
+    (d, best), *rest = sorted((abs(2 * i - n + 1), i) for i in range(n) if mask >> i & 1)
+    if d == 0 or rest and rest[0][0] == d:
+        return None
+    full = (1 << n) - 1
+    below = (1 << best) - 1
+    above = full ^ below ^ (1 << best)
+    left = best - (mask & below).bit_count()
+    right = n - 1 - best - (mask & above).bit_count()
+    # mark the side with fewer non-markers, the shorter side on a tie
+    out = mask | (below if (left, best) < (right, n - 1 - best) else above)
+    if out == full or n % 2 and (out >> n // 2) & 1:
+        return None
+    if out == mask:
+        return _KEEP
+    # the rule marks a prefix or a suffix: read off out's runs of low and high ones
+    return (~out & (out + 1)).bit_length() - 1, n - (full ^ out).bit_length()
 
 
 class _MaskRules(dict):

@@ -66,14 +66,10 @@ def _corpus_block(sentences: list[Sentence]) -> tuple[dict, dict[str, int]]:
     return block, tally.folded
 
 
-_SEED_STRIDE = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
-
 def _condition_seed(seed: int, code: str) -> int:
     # stable per-condition stream: offset by the code's fixed ordinal
     ordinal = sampling.ConditionSpec.all_codes().index(code)
-    return (seed + (ordinal + 1) * _SEED_STRIDE) & _MASK64
+    return (seed + (ordinal + 1) * sampling._GOLDEN_GAMMA) & sampling._MASK64
 
 
 def compare_corpora(

@@ -46,6 +46,7 @@ UNITS = (CHARACTER, WORD_UNIT)
 BALANCE_TOLERANCE = 3e-4
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's state increment
 
 
 class SplitMix64:
@@ -55,7 +56,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GOLDEN_GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -76,6 +76,8 @@ RUNS = [
                                 "-o", "{out}/ngram_word_n2_raw.json"]),
     ("ngram_word_n3_post_json", ["ngram", B, "--n", "3", "--condition", "CNP", *PATTERNS,
                                  "--format", "json", "-o", "{out}/ngram_word_n3_post.json"]),
+    # long windows, where marking a shorter side can reach the center
+    ("ngram_edge_n13_post", ["ngram", EDGE, "--n", "13", "-o", "{out}/ngram_edge_n13_post.tsv"]),
     ("ngram_tag_n2_raw", ["ngram", "tagged_a.txt", "--kind", "tag", "--n", "2",
                           "--boundary", "raw", "-o", "{out}/ngram_tag_n2_raw.tsv"]),
     ("ngram_tag_n2_post", ["ngram", "tagged_b.txt", "--kind", "tag", "--n", "2",

@@ -560,7 +560,7 @@ def test_write_lines_does_not_join_its_lines(tmp_path):
 
 
 class TestStatsMatchesCompare:
-    """stats on A under a condition measures exactly what compare's A block does."""
+    """stats and fog on A measure exactly what compare's A blocks do."""
 
     def test_every_condition(self, capsys):
         data = Path(__file__).parent / "data"
@@ -579,6 +579,14 @@ class TestStatsMatchesCompare:
                 assert {k: stats[k] for k in ratios} == block["corpus_stats"], (code, extra)
             n_tokens[bool(extra)] = blocks["WB"]["a"]["N"]
         assert 0 < n_tokens[True] < n_tokens[False]  # the patterns drop some of A's lines
+
+    def test_fog_group(self, capsys):
+        a, b = str(DATA / "golden" / "extracted_a.jsonl"), str(DATA / "golden" / "extracted_b.jsonl")
+        assert cli.main(["fog", a]) == 0
+        group = json.loads(capsys.readouterr().out)["group"]
+        assert cli.main(["compare", a, b, "--conditions", "WB"]) == 0
+        assert group == json.loads(capsys.readouterr().out)["fog_per_document"]["a"]
+        assert group == {"mean": 6.9631, "n": 98, "stderr": 0.107537, "variance": 1.1333}
 
 
 class TestCompare:
@@ -733,6 +741,8 @@ CONTRACT_SHAPES = {
     "stats_patterns": ("exclude_patterns.txt",
                        ["stats", EDGE, "--exclude-patterns", "{src}", "-o", "{out}/s.json"]),
     "ngram_word": ("edge_cases.jsonl", ["ngram", "{src}", "--n", "3", "-o", "{out}/n.tsv"]),
+    "ngram_word_long": ("edge_cases.jsonl",
+                        ["ngram", "{src}", "--n", "13", "-o", "{out}/n.tsv"]),
     "ngram_tag": ("tagged_a.txt", ["ngram", "{src}", "--kind", "tag", "--n", "2",
                                    "--pos-condition", "SN", "-o", "{out}/n.tsv"]),
     "pos": ("tagged_b.txt", ["pos", str(DATA / "tagged_a.txt"), "{src}", "--format", "tsv",

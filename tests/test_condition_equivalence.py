@@ -3,7 +3,8 @@
 Each oracle below is the earlier implementation, copied verbatim:
 apply_condition, which tokenized and processed every line anew for each
 condition; the corpus block with the sentence-list statistics it called;
-the per-window n-gram loop that applied the boundary rule to every window;
+the boundary rule applied to a window, which the marker-mask rule replaced;
+the per-window n-gram loop that applied it to every window;
 the section counter that applied it once per distinct window; and the
 plain entropy and cosine sums.  The new code must give identical results:
 the same sentences, the same report block (floats compared exactly) and
@@ -171,6 +172,57 @@ def old_fold_sentences(sentences):
 # oracle: n-gram counting with the boundary rule applied per window
 
 
+def old_postprocess_window(window: tuple[str, ...]):
+    """Apply the boundary rule to one window; None means the window is dropped.
+
+    The marker nearest the window center governs; an exact distance tie drops
+    the window, as does a marker sitting dead center of an odd window.
+    Otherwise every position on the governing marker's shorter side (fewer
+    non-marker symbols; side length as fallback) becomes a marker.  A result
+    that is all markers, or has a marker dead center of an odd window, drops.
+    """
+    n = len(window)
+    positions = [i for i, sym in enumerate(window) if sym == BOUNDARY]
+    if not positions:
+        return window
+    if len(positions) == n:
+        return None
+    # distances doubled to stay in integers: center sits at (n-1)/2
+    best = positions[0]
+    best_d = abs(2 * best - (n - 1))
+    tie = False
+    for p in positions[1:]:
+        d = abs(2 * p - (n - 1))
+        if d < best_d:
+            best, best_d, tie = p, d, False
+        elif d == best_d:
+            tie = True
+    if tie:
+        return None
+    if n % 2 == 1 and best == (n - 1) // 2:
+        return None
+    left_tokens = sum(1 for i in range(best) if window[i] != BOUNDARY)
+    right_tokens = sum(1 for i in range(best + 1, n) if window[i] != BOUNDARY)
+    if left_tokens != right_tokens:
+        replace_left = left_tokens < right_tokens
+    else:
+        # side lengths best and n-1-best can never tie here: equality would
+        # put the marker dead center, handled above for odd n and impossible
+        # for even n
+        replace_left = best < n - 1 - best
+    out = list(window)
+    if replace_left:
+        for i in range(best):
+            out[i] = BOUNDARY
+    else:
+        for i in range(best + 1, n):
+            out[i] = BOUNDARY
+    # marking a side can move a marker onto the center of an odd window
+    if all(sym == BOUNDARY for sym in out) or (n % 2 and out[n // 2] == BOUNDARY):
+        return None
+    return tuple(out)
+
+
 def old_count_section(counts, sentences, n, postprocess):
     stream = [BOUNDARY]
     for sentence in sentences:
@@ -182,7 +234,7 @@ def old_count_section(counts, sentences, n, postprocess):
         window = tuple(stream[i : i + n])
         if postprocess:
             if BOUNDARY in window:
-                window = lexstats._postprocess_window(window)
+                window = old_postprocess_window(window)
                 if window is None:
                     continue
         counts[window] += 1
@@ -196,9 +248,9 @@ def old_count_corpus_ngrams(sections, n, postprocess):
 
 
 # the section counter that applied the rule once per distinct marked window,
-# through a per-window cache of _postprocess_window
+# through a per-window cache of the window rule
 
-_cached_rule = lru_cache(maxsize=262144)(lexstats._postprocess_window)
+_cached_rule = lru_cache(maxsize=262144)(old_postprocess_window)
 
 
 def old_count_sections(sections, n, postprocess):
@@ -367,9 +419,8 @@ class TestNgramCounting:
         # at n = 6 the rule maps "a a § a § §" to "a a § § § §", which is
         # itself a raw window here and one the rule drops: every marked key
         # must leave the table before any rule output is added back
-        assert lexstats._postprocess_window(("a", "a", BOUNDARY, "a", BOUNDARY, BOUNDARY)) == (
-            "a", "a", BOUNDARY, BOUNDARY, BOUNDARY, BOUNDARY)
-        assert lexstats._postprocess_window(("a", "a") + (BOUNDARY,) * 4) is None
+        assert lexstats._mask_action(6, 0b110100) == (0, 4)
+        assert lexstats._mask_action(6, 0b111100) is None
         secs = [[("a", "a"), ("a",), (), ("a", "a"), (), (), ()]]
         table = lexstats.count_corpus_ngrams(secs, 6, "postprocessed")
         assert table.entries == old_count_corpus_ngrams(secs, 6, True)
@@ -398,7 +449,7 @@ class TestNgramCounting:
 
 
 class TestMaskTable:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 16))
     def test_every_mask_matches_the_window_rule(self, n):
         for mask in range(2 ** n):
             window = tuple(BOUNDARY if mask >> i & 1 else f"w{i}" for i in range(n))
@@ -408,7 +459,7 @@ class TestMaskTable:
             else:
                 left, right = action
                 got = (BOUNDARY,) * left + window[left:n - right] + (BOUNDARY,) * right
-            assert got == lexstats._postprocess_window(window), (n, bin(mask))
+            assert got == old_postprocess_window(window), (n, bin(mask))
             assert (action is lexstats._KEEP) == (got == window), (n, bin(mask))
 
     @pytest.mark.parametrize("policy", ["raw", "postprocessed"])
