@@ -10,7 +10,7 @@ reverting editor pairs, after dropping the single heaviest pair.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class RevertEvent(NamedTuple):
@@ -112,10 +112,3 @@ def controversy_m(history: Sequence, match_policy: str = "latest") -> Controvers
         excluded_pair=excluded,
         events=tuple(events),
     )
-
-
-def score_pages(
-    pages: Iterable[tuple[object, Sequence]], match_policy: str = "latest"
-) -> list[tuple[object, ControversyScore]]:
-    """Score (page_id, history) groups; input order preserved."""
-    return [(page_id, controversy_m(history, match_policy)) for page_id, history in pages]

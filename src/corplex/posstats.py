@@ -86,11 +86,6 @@ def parse_tagged(lines: Iterable[str], warnings: Counter | None = None) -> list[
     return sentences
 
 
-def format_tagged(sentences: Iterable[TaggedSentence]) -> Iterable[str]:
-    for sentence in sentences:
-        yield " ".join(tok.replace("/", "\\/") + "/" + tag for tok, tag in sentence.pairs)
-
-
 def merge_adjacent_proper_nouns(sentence: TaggedSentence) -> TaggedSentence:
     """Collapse each maximal NNP/NNPS run into one pair.
 

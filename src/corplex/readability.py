@@ -76,10 +76,6 @@ def fog_from_types(types: Mapping[Token, int], n_sent: int) -> FogReport:
     return FogReport.from_counts(words, n_sent, complex_words)
 
 
-def text_fog(text: str) -> FogReport:
-    return gunning_fog(split_sentences(tokenize(text)))
-
-
 def corpus_fog(
     docs: Iterable,
     warnings: Counter | None = None,

@@ -1,5 +1,5 @@
-"""Deterministic tokenization, sentence splitting, punctuation filtering,
-syllable counting, and the per-type record every measure reads.
+"""Deterministic tokenization, sentence splitting, syllable counting, and
+the per-type record every measure reads.
 
 Tokenizing and splitting are pure and order-preserving.  The punctuation set
 is the nine characters ,.?();"!: and nothing else; hyphens and apostrophes
@@ -188,11 +188,6 @@ def split_sentences(tokens_or_text: str | list[Token]) -> list[Sentence]:
 def is_punctuation_mark(tok: Token) -> bool:
     """A punctuation token made up of the nine-character set: what N strips."""
     return tok.kind == PUNCTUATION and all(c in _PUNCT_SET for c in tok.surface)
-
-
-def filter_punctuation(tokens: Iterable[Token]) -> list[Token]:
-    """Drop punctuation tokens made up of the nine-character set; keep the rest."""
-    return [t for t in tokens if not is_punctuation_mark(t)]
 
 
 def type_counts(sentences: Iterable[Sentence]) -> Counter:

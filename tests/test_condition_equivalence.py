@@ -13,6 +13,7 @@ policies and with sharded counting.
 """
 
 import math
+import random
 import re
 from collections import Counter
 from functools import lru_cache
@@ -34,13 +35,13 @@ from corplex.sampling import (
     doc_lines,
 )
 from corplex.textpipe import (
+    PUNCT_CHARS,
     PUNCTUATION,
     SUBSENTENCE_SEPARATORS,
     Sentence,
     Token,
     WORD,
     detokenize,
-    filter_punctuation,
     is_complex_word,
     split_sentences,
     tokenize,
@@ -67,7 +68,10 @@ def old_apply_condition(lines, cond, exclude_patterns=None):
         for sentence in split_sentences(tokens):
             toks = sentence.tokens
             if cond.punctuation == "strip":
-                toks = filter_punctuation(list(toks))
+                toks = [
+                    t for t in toks
+                    if not (t.kind == PUNCTUATION and set(t.surface) <= set(PUNCT_CHARS))
+                ]
             if cond.stemming == "porter":
                 toks = [
                     Token(porter_stem(t.surface), t.kind) if t.kind == WORD else t
@@ -448,19 +452,35 @@ class TestNgramCounting:
         assert lexstats.table_entropy(table) == old_table_entropy(table)
 
 
+def assert_mask_matches_the_window_rule(n, mask):
+    window = tuple(BOUNDARY if mask >> i & 1 else f"w{i}" for i in range(n))
+    action = lexstats._mask_action(n, mask)
+    if action is None:
+        got = None
+    else:
+        left, right = action
+        got = (BOUNDARY,) * left + window[left:n - right] + (BOUNDARY,) * right
+    assert got == old_postprocess_window(window), (n, bin(mask))
+    assert (action is lexstats._KEEP) == (got == window), (n, bin(mask))
+
+
 class TestMaskTable:
     @pytest.mark.parametrize("n", range(1, 16))
     def test_every_mask_matches_the_window_rule(self, n):
         for mask in range(2 ** n):
-            window = tuple(BOUNDARY if mask >> i & 1 else f"w{i}" for i in range(n))
-            action = lexstats._mask_action(n, mask)
-            if action is None:
-                got = None
-            else:
-                left, right = action
-                got = (BOUNDARY,) * left + window[left:n - right] + (BOUNDARY,) * right
-            assert got == old_postprocess_window(window), (n, bin(mask))
-            assert (action is lexstats._KEEP) == (got == window), (n, bin(mask))
+            assert_mask_matches_the_window_rule(n, mask)
+
+    @pytest.mark.parametrize("n", range(16, 41))
+    def test_sampled_masks_match_the_window_rule(self, n):
+        # past n = 15 the masks are too many to walk: sample them, mostly
+        # with the few markers real text gives, and uniformly too
+        rng = random.Random(n)
+        for _ in range(1000):
+            mask = 0
+            for _ in range(rng.randint(1, 4)):
+                mask |= 1 << rng.randrange(n)
+            assert_mask_matches_the_window_rule(n, mask)
+            assert_mask_matches_the_window_rule(n, rng.getrandbits(n))
 
     @pytest.mark.parametrize("policy", ["raw", "postprocessed"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

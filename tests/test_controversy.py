@@ -5,7 +5,7 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corplex.controversy import controversy_m, detect_reverts, score_pages
+from corplex.controversy import controversy_m, detect_reverts
 
 Rev = namedtuple("Rev", "page_id rev_index timestamp editor raw_text")
 
@@ -131,11 +131,6 @@ class TestControversyM:
         grown = controversy_m(h + [Rev("p", 99, "t", "Z", "fresh text")])
         assert grown.E == base.E + 1
         assert grown.M * base.E == base.M * grown.E
-
-    def test_score_pages_order(self):
-        pages = [("p1", history(("A", "x"))), ("p2", history(("B", "y")))]
-        scored = score_pages(pages)
-        assert [pid for pid, _ in scored] == ["p1", "p2"]
 
 
 def brute_force_m(h, match_policy="latest"):

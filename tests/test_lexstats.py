@@ -169,8 +169,10 @@ class TestNgramPostprocessing:
             # one-token sentences: at n = 13 the window "§w§w§ww§wwwww" marks
             # its shorter side up to the center
             [("go",), ("run",), ("it", "is"), ("then", "the", "rest", "of", "it", "goes", "on")],
+            # long and one-token sentences mixed, for windows up to n = 39
+            [tuple(f"w{i}" for i in range(k)) for k in (1, 1, 2, 1, 7, 1, 1, 3, 25, 1, 2, 1, 1, 40)],
         ):
-            for n in range(3, 16, 2):
+            for n in range(3, 40, 2):
                 for key in ngram_counts(sents, n).entries:
                     assert key[n // 2] != BOUNDARY, (n, key)
 

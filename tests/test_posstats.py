@@ -12,7 +12,6 @@ from corplex.posstats import (
     TaggedSentence,
     apply_pos_condition,
     cosine_angle,
-    format_tagged,
     merge_adjacent_proper_nouns,
     parse_tagged,
     pos_distribution,
@@ -36,7 +35,7 @@ class TestParseTagged:
 
     def test_format_roundtrip(self):
         original = sent(("and/or", "CC"), ("cat", "NN"))
-        [line] = list(format_tagged([original]))
+        line = " ".join(tok.replace("/", "\\/") + "/" + tag for tok, tag in original.pairs)
         [back] = parse_tagged([line])
         assert back == original
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from corplex.sampling import ConditionSpec, LineCache
 from corplex.textpipe import (
     NUMBER,
     PUNCTUATION,
@@ -8,7 +9,6 @@ from corplex.textpipe import (
     WORD,
     count_syllables,
     detokenize,
-    filter_punctuation,
     is_complex_word,
     split_sentences,
     tokenize,
@@ -110,15 +110,19 @@ class TestSentences:
 
 
 class TestFilterPunctuation:
+    """Punctuation stripping as the N conditions run it."""
+
+    @staticmethod
+    def strip(lines):
+        return LineCache().apply(lines, ConditionSpec.parse("WN"))
+
     def test_removes_only_punctuation_kind(self):
-        toks = tokenize("Stop, now! 42 times.")
-        kept = filter_punctuation(toks)
-        assert [t.surface for t in kept] == ["Stop", "now", "42", "times"]
+        kept = self.strip(["Stop, now! 42 times."])
+        assert [t.surface for s in kept for t in s.tokens] == ["Stop", "now", "42", "times"]
 
     def test_idempotent(self):
-        toks = tokenize("a, b; c.")
-        once = filter_punctuation(toks)
-        assert filter_punctuation(once) == once
+        once = self.strip(["a, b; c."])
+        assert self.strip([detokenize(s.tokens) for s in once]) == once
 
 
 class TestSyllables:
