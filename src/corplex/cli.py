@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from collections import Counter
 
 from . import __version__, lexstats, posstats, readability, report, sampling
 from .errors import CorplexError
-from .ingest import docs_to_jsonl, parse_article_dump, parse_revision_dump, utf8_lines
+from .ingest import (
+    docs_to_jsonl, extract_forked, parse_article_dump, parse_revision_dump, utf8_lines,
+)
 from .controversy import controversy_m
 from .textpipe import split_sentences, tokenize, type_counts
 
@@ -118,15 +121,30 @@ def _ngram_table(sections: list, args, processes: int = 1) -> lexstats.CountTabl
     return table
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _extract_processes(args) -> int:
+    """Every usable CPU for an XML dump in a regular file, else 1."""
+    if args.format == "jsonl" or args.input == "-" or not hasattr(os, "fork"):
+        return 1
+    return _usable_cpus() if os.path.isfile(args.input) else 1
+
+
 def _cmd_extract(args, warnings: Counter) -> None:
-    docs = parse_article_dump(
-        _input(args.input),
-        format=args.format,
-        skip_redirects=not args.keep_redirects,
-        warnings=warnings,
-    )
+    skip_redirects = not args.keep_redirects
+    processes = _extract_processes(args)
     with _open_output(args.output) as out:
-        docs_to_jsonl(docs, out)
+        if processes > 1:
+            extract_forked(args.input, out, skip_redirects, warnings, processes)
+        else:
+            docs = parse_article_dump(_input(args.input), format=args.format,
+                                      skip_redirects=skip_redirects, warnings=warnings)
+            docs_to_jsonl(docs, out)
 
 
 def _cmd_sample(args, warnings: Counter) -> None:

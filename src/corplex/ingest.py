@@ -9,8 +9,11 @@ concatenation of their pages.  A page that spans 64 KB blocks goes to the
 parser a block at a time as it is read, and each revision's element is
 cleared once its fields are read, so reading it holds one block plus the
 page's distinct texts, once each: equal texts of a page share one str.
-parse_revision_dump keeps nothing of a page it has yielded.  JSONL and other text inputs are read as UTF-8, and a
-byte that is not UTF-8 is a ParseError at its line.
+parse_revision_dump keeps nothing of a page it has yielded, so one page is
+in memory at a time.  extract_forked reads a dump file's pages in several
+processes, one page per process at a time, and writes what one process
+would.  JSONL and other text inputs are read as UTF-8, and a byte that is
+not UTF-8 is a ParseError at its line.
 
 Everything here runs in time linear in its input: the page chunker reads
 each byte once and never joins a page's blocks, and every markup pass is a
@@ -26,14 +29,15 @@ import contextlib
 import html.entities
 import io
 import json
+import os
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 from datetime import datetime, timezone
 from itertools import chain
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
 
-from .errors import MarkupError, ParseError
+from .errors import CorplexError, MarkupError, ParseError
 
 
 class Document(NamedTuple):
@@ -548,13 +552,23 @@ def _read_page(parts: Iterator[bytes], offset: int, read_revision) -> _Page:
     raise ParseError(f"malformed page XML: {error}", location=f"byte {offset}")
 
 
-def _read_pages(stream: IO[bytes], warnings: Counter, read_revision) -> Iterator[_Page]:
-    """Each <page> of the stream, read; a stream with none counts no_pages."""
+def _read_pages(
+    stream: IO[bytes], warnings: Counter, read_revision, share: int = 0, shares: int = 1
+) -> Iterator[_Page]:
+    """Each <page> of the stream whose index i has i % shares == share, read.
+
+    The other pages are chunked and passed over unparsed.  A stream with no
+    page counts no_pages, in share 0 only.
+    """
     found = False
-    for parts, offset in _iter_page_chunks(stream):
+    for i, (parts, offset) in enumerate(_iter_page_chunks(stream)):
         found = True
-        yield _read_page(parts, offset, read_revision)
-    if not found:
+        if i % shares == share:
+            yield _read_page(parts, offset, read_revision)
+        else:
+            for _ in parts:
+                pass
+    if not found and share == 0:
         warnings["no_pages"] += 1
 
 
@@ -627,29 +641,43 @@ def parse_article_dump(
     if format not in ("xml-export", "xml"):
         raise ValueError(f"unknown dump format {format!r}")
     with _open_maybe(source) as stream:
-        for page in _read_pages(stream, warnings, _article_revision):
-            if not page.title:
-                raise ParseError("page without a title", location=f"byte {page.offset}")
-            if not page.revisions:
-                warnings["page_without_revision"] += 1
-                continue
-            latest = max(enumerate(page.revisions), key=lambda iv: (iv[1][0] or _EPOCH, iv[0]))
-            raw = latest[1][1]
-            if not raw.strip():
-                warnings["empty_page"] += 1
-                continue
-            if skip_redirects and raw.lstrip()[:9].lower() == "#redirect":
-                warnings["redirect_skipped"] += 1
-                continue
-            try:
-                body = strip_markup(raw, warnings=warnings)
-            except MarkupError:  # one page must not end the whole dump
-                warnings["markup_too_deep"] += 1
-                continue
-            if not body:
-                warnings["empty_page"] += 1
-                continue
-            yield Document(id=page.page_id, title=page.title, body=body)
+        for doc in _article_docs(stream, skip_redirects, warnings):
+            if doc is not None:
+                yield doc
+
+
+def _article_docs(
+    stream: IO[bytes], skip_redirects: bool, warnings: Counter, share: int = 0, shares: int = 1
+) -> Iterator[Document | None]:
+    """One item per page of _read_pages(..., share, shares): its Document, or
+    None for a page that yields none."""
+    for page in _read_pages(stream, warnings, _article_revision, share, shares):
+        yield _article_doc(page, skip_redirects, warnings)
+
+
+def _article_doc(page: _Page, skip_redirects: bool, warnings: Counter) -> Document | None:
+    if not page.title:
+        raise ParseError("page without a title", location=f"byte {page.offset}")
+    if not page.revisions:
+        warnings["page_without_revision"] += 1
+        return None
+    latest = max(enumerate(page.revisions), key=lambda iv: (iv[1][0] or _EPOCH, iv[0]))
+    raw = latest[1][1]
+    if not raw.strip():
+        warnings["empty_page"] += 1
+        return None
+    if skip_redirects and raw.lstrip()[:9].lower() == "#redirect":
+        warnings["redirect_skipped"] += 1
+        return None
+    try:
+        body = strip_markup(raw, warnings=warnings)
+    except MarkupError:  # one page must not end the whole dump
+        warnings["markup_too_deep"] += 1
+        return None
+    if not body:
+        warnings["empty_page"] += 1
+        return None
+    return Document(id=page.page_id, title=page.title, body=body)
 
 
 def parse_revision_dump(
@@ -738,23 +766,140 @@ def _parse_jsonl(source, warnings: Counter) -> Iterator[Document]:
             raise ParseError(
                 "record needs id, title and text fields", location=f"line {line_no}"
             ) from None
-        if not str(text).strip():
+        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+            raise ParseError("record id is neither a string nor an integer",
+                             location=f"line {line_no}")
+        for name, value in (("title", title), ("text", text)):
+            if not isinstance(value, str):
+                raise ParseError(f"record {name} is not a string", location=f"line {line_no}")
+        if not text.strip():
             warnings["empty_page"] += 1
             continue
-        yield Document(id=str(doc_id), title=str(title), body=str(text))
+        yield Document(id=str(doc_id), title=title, body=text)
+
+
+def _jsonl_record(doc: Document) -> str:
+    return json.dumps({"id": doc.id, "title": doc.title, "text": doc.body}, ensure_ascii=False)
 
 
 def docs_to_jsonl(docs: Iterable[Document], fp: IO[str]) -> int:
     count = 0
     for doc in docs:
-        fp.write(
-            json.dumps(
-                {"id": doc.id, "title": doc.title, "text": doc.body}, ensure_ascii=False
-            )
-        )
+        fp.write(_jsonl_record(doc))
         fp.write("\n")
         count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# extract in several processes
+
+_PIPE_BUFFER = 1 << 16  # so a child and the parent do not wake each other per page
+_END = object()
+_CHILD_ERRORS = {"CorplexError": CorplexError, "OSError": OSError}  # raised again in the parent
+
+
+def extract_forked(
+    path, out: IO[str], skip_redirects: bool, warnings: Counter, processes: int
+) -> None:
+    """docs_to_jsonl(parse_article_dump(path, ...), out), with pages read in processes.
+
+    Page i is parsed and stripped by process i % processes: 0 is this one,
+    and the others are forked children.  Each process chunks the whole file
+    itself and passes over the pages it does not own.  A child sends one
+    line per page it owns down its pipe, the page's record or an empty
+    line, and then one last line: its warnings, or its first error.  Records
+    are written in page order, and the first error in page order is raised
+    once every record before it is written, so out, the warnings and the
+    error are those of the serial run.  Every child has ended and been
+    reaped when this returns or raises; one still running then is killed.
+    The caller runs one thread, since a forked child holds only the thread
+    that forked it.
+    """
+    pids: list[int] = []
+    readers: list[IO[bytes]] = []
+    finished = False
+    try:
+        for share in range(1, processes):
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb", buffering=_PIPE_BUFFER))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _extract_child(path, skip_redirects, share, processes, write_fd, readers)
+            finally:  # the child never gets here: it leaves by os._exit
+                os.close(write_fd)
+            pids.append(pid)
+        with _open_maybe(path) as stream:
+            own = map(_page_line, _article_docs(stream, skip_redirects, warnings, 0, processes))
+            shares = [own, *(_child_lines(reader, warnings) for reader in readers)]
+            owner = 0  # of the next page
+            while (line := next(shares[owner], _END)) is not _END:  # else that page is not there
+                if line != "\n":
+                    out.write(line)
+                owner = (owner + 1) % processes
+            for rest in shares:  # each has read to the end too; this takes its warnings
+                for _ in rest:
+                    pass
+        finished = True
+    finally:
+        for reader in readers:
+            reader.close()
+        if pids and not finished:
+            import signal  # not at module load: only a run that failed needs it
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _page_line(doc: Document | None) -> str:
+    """A page's line in extract_forked: its record, or a bare "\n" for none."""
+    return "\n" if doc is None else _jsonl_record(doc) + "\n"
+
+
+def _child_lines(reader: IO[bytes], warnings: Counter) -> Iterator[str]:
+    """A child's page lines; its warnings are added to warnings at its last
+    line, and its error is raised there."""
+    for line in reader:
+        if not line.endswith(b"\n"):
+            break
+        if line[:1] in (b"{", b"\n"):
+            yield line.decode("utf-8")
+        else:
+            kind, value = json.loads(line)
+            if kind == "warnings":
+                warnings.update(value)
+                return
+            name, message = value
+            if name in _CHILD_ERRORS:
+                raise _CHILD_ERRORS[name](message)
+            raise RuntimeError(f"{name} in an extract process: {message}")
+    raise RuntimeError("an extract process ended without a result")
+
+
+def _extract_child(path, skip_redirects, share, shares, write_fd, readers) -> NoReturn:
+    """Child share of extract_forked: its lines go to write_fd, and then it exits."""
+    code = 1
+    try:
+        for reader in readers:  # the parent's ends of the pipes, its own included
+            reader.close()
+        with os.fdopen(write_fd, "wb", buffering=_PIPE_BUFFER) as pipe:
+            warnings: Counter = Counter()
+            try:
+                with _open_maybe(path) as stream:
+                    for doc in _article_docs(stream, skip_redirects, warnings, share, shares):
+                        pipe.write(_page_line(doc).encode("utf-8"))
+                end = ["warnings", warnings]
+            except Exception as exc:
+                name = next((name for name, cls in _CHILD_ERRORS.items() if isinstance(exc, cls)),
+                            type(exc).__name__)
+                end = ["error", [name, str(exc)]]
+            pipe.write(json.dumps(end).encode() + b"\n")
+        code = 0
+    finally:
+        os._exit(code)  # never return into the parent's code, nor flush its buffers
 
 
 def _open_maybe(source):

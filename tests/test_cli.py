@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, outputs, warning reporting."""
 
+import contextlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +154,14 @@ class TestExtract:
         assert cli.main(["extract", corpus_a, "--format", "jsonl", "-o", str(out)]) == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["id"] for r in records] == ["a1", "a2", "a3"]
+
+    def test_jsonl_text_that_is_not_a_string(self, tmp_path, capsys):
+        src = tmp_path / "docs.jsonl"
+        src.write_text('{"id": 1, "title": "t", "text": null}\n')
+        assert cli.main(["extract", str(src), "--format", "jsonl"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: record text is not a string [line 1]\n"
 
 
 class TestSample:
@@ -795,6 +805,27 @@ def test_mutated_input_exits_0_or_2(shape, edits, cut):
         src.write_bytes(_mutate((DATA / fixture).read_bytes(), edits, cut))
         code = cli.main([a.replace("{src}", str(src)).replace("{out}", out) for a in args])
     assert code in (0, 2)
+
+
+def _extract_in(processes: int, src: Path) -> tuple:
+    """(exit code, stdout, stderr) of extract over src in `processes` processes."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_usable_cpus", lambda: processes), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["extract", str(src)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(edits=_edits, cut=st.none() | st.integers(0, 1 << 20))
+def test_mutated_dump_extracts_alike_in_one_and_two_processes(edits, cut):
+    """Pages read in two processes give the records, warnings, error and exit
+    code of one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "input.xml"
+        src.write_bytes(_mutate((DATA / "mini_dump_a.xml").read_bytes(), edits, cut))
+        one, two = _extract_in(1, src), _extract_in(2, src)
+    assert two == one
 
 
 def _loaded_by_cli_import(module: str) -> bool:

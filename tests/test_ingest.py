@@ -244,6 +244,25 @@ class TestArticleDump:
             list(parse_article_dump(io.StringIO(good + "not json\n"), format="jsonl"))
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("record,message", [
+        ('{"id":1,"title":"t","text":null}', "record text is not a string"),
+        ('{"id":1,"title":"t","text":["a b"]}', "record text is not a string"),
+        ('{"id":1,"title":7,"text":"x"}', "record title is not a string"),
+        ('{"id":null,"title":"t","text":"x"}', "record id is neither a string nor an integer"),
+        ('{"id":1.5,"title":"t","text":"x"}', "record id is neither a string nor an integer"),
+        ('{"id":true,"title":"t","text":"x"}', "record id is neither a string nor an integer"),
+    ], ids=["text_null", "text_list", "title_number", "id_null", "id_float", "id_bool"])
+    def test_jsonl_field_of_the_wrong_type_located(self, record, message):
+        good = '{"id":"1","title":"T","text":"x"}\n'
+        with pytest.raises(ParseError) as err:
+            list(parse_article_dump(io.StringIO(good + record + "\n"), format="jsonl"))
+        assert str(err.value) == f"{message} [line 2]"
+
+    def test_jsonl_integer_id_becomes_a_string(self):
+        [doc] = parse_article_dump(io.StringIO('{"id":7,"title":"A","text":"x"}\n'),
+                                   format="jsonl")
+        assert doc.id == "7"
+
     def test_page_without_title_rejected(self):
         dump = b"<mediawiki><page><id>1</id></page></mediawiki>"
         with pytest.raises(ParseError):
