@@ -18,7 +18,7 @@ from collections import Counter
 from . import __version__, lexstats, posstats, readability, report, sampling
 from .errors import CorplexError
 from .ingest import (
-    docs_to_jsonl, extract_forked, parse_article_dump, parse_revision_dump, utf8_lines,
+    _article_docs, _histories, _read_in_shares, docs_to_jsonl, parse_article_dump, utf8_lines,
 )
 from .controversy import controversy_m
 from .textpipe import split_sentences, tokenize, type_counts
@@ -128,23 +128,26 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _extract_processes(args) -> int:
+def _dump_processes(args) -> int:
     """Every usable CPU for an XML dump in a regular file, else 1."""
-    if args.format == "jsonl" or args.input == "-" or not hasattr(os, "fork"):
+    if getattr(args, "format", "xml") == "jsonl" or args.input == "-" or not hasattr(os, "fork"):
         return 1
     return _usable_cpus() if os.path.isfile(args.input) else 1
 
 
 def _cmd_extract(args, warnings: Counter) -> None:
     skip_redirects = not args.keep_redirects
-    processes = _extract_processes(args)
+
+    def write_share(stream, start, stop, out, warnings) -> list:
+        docs_to_jsonl(_article_docs(stream, skip_redirects, warnings, start, stop), out)
+        return []
+
     with _open_output(args.output) as out:
-        if processes > 1:
-            extract_forked(args.input, out, skip_redirects, warnings, processes)
+        if args.format == "jsonl":
+            docs_to_jsonl(parse_article_dump(_input(args.input), format="jsonl", warnings=warnings),
+                          out)
         else:
-            docs = parse_article_dump(_input(args.input), format=args.format,
-                                      skip_redirects=skip_redirects, warnings=warnings)
-            docs_to_jsonl(docs, out)
+            _read_in_shares(_input(args.input), _dump_processes(args), out, warnings, write_share)
 
 
 def _cmd_sample(args, warnings: Counter) -> None:
@@ -253,9 +256,9 @@ def _cmd_conflict(args, warnings: Counter) -> None:
     # fails part-way leaves the records of the pages before the failure
     # (-M, page_id) per page for --ranking: page ids are str, so the tuples
     # sort in ranking order, M descending, then page_id
-    ranked = []
-    with _open_output(args.output) as out:
-        for page_id, history in parse_revision_dump(_input(args.input), warnings):
+    def write_share(stream, start, stop, out, warnings) -> list:
+        ranked = []
+        for page_id, history in _histories(stream, warnings, start, stop):
             if not history:
                 warnings["empty_history"] += 1
                 continue
@@ -265,6 +268,11 @@ def _cmd_conflict(args, warnings: Counter) -> None:
             if args.ranking:
                 ranked.append((-score.M, page_id))
             del history, score, record  # hold no page while the next one is read
+        return ranked
+
+    with _open_output(args.output) as out:
+        ranked = _read_in_shares(_input(args.input), _dump_processes(args), out, warnings,
+                                 write_share)
     if args.ranking:
         ranked.sort()
         _write(args.ranking, report.tsv_lines((page_id, -neg_m) for neg_m, page_id in ranked))

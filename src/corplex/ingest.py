@@ -10,10 +10,10 @@ parser a block at a time as it is read, and each revision's element is
 cleared once its fields are read, so reading it holds one block plus the
 page's distinct texts, once each: equal texts of a page share one str.
 parse_revision_dump keeps nothing of a page it has yielded, so one page is
-in memory at a time.  extract_forked reads a dump file's pages in several
-processes, one page per process at a time, and writes what one process
-would.  JSONL and other text inputs are read as UTF-8, and a byte that is
-not UTF-8 is a ParseError at its line.
+in memory at a time.  _read_in_shares reads a dump file in several
+processes, each the pages that start in its own byte range of the file, and
+writes what one process would.  JSONL and other text inputs are read as
+UTF-8, and a byte that is not UTF-8 is a ParseError at its line.
 
 Everything here runs in time linear in its input: the page chunker reads
 each byte once and never joins a page's blocks, and every markup pass is a
@@ -35,7 +35,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from datetime import datetime, timezone
 from itertools import chain
-from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import CorplexError, MarkupError, ParseError
 
@@ -553,22 +553,29 @@ def _read_page(parts: Iterator[bytes], offset: int, read_revision) -> _Page:
 
 
 def _read_pages(
-    stream: IO[bytes], warnings: Counter, read_revision, share: int = 0, shares: int = 1
+    stream: IO[bytes], warnings: Counter, read_revision, start: int = 0, stop: int | None = None
 ) -> Iterator[_Page]:
-    """Each <page> of the stream whose index i has i % shares == share, read.
+    """Each <page> of the stream that starts at a byte offset in [start, stop), read.
 
-    The other pages are chunked and passed over unparsed.  A stream with no
-    page counts no_pages, in share 0 only.
+    stop None is the end of the stream.  The stream is chunked from its
+    first byte, so page boundaries and chunker errors do not depend on the
+    range: the pages before start are passed over unparsed, and reading
+    ends at the first page that starts at or past stop.  So the pages of
+    consecutive ranges, joined, are the stream's pages, each once.  A
+    stream with no page counts no_pages, in the open-ended range only: the
+    ranges of a file of fewer bytes than processes share their start.
     """
     found = False
-    for i, (parts, offset) in enumerate(_iter_page_chunks(stream)):
+    for parts, offset in _iter_page_chunks(stream):
         found = True
-        if i % shares == share:
+        if stop is not None and offset >= stop:
+            return
+        if offset >= start:
             yield _read_page(parts, offset, read_revision)
         else:
             for _ in parts:
                 pass
-    if not found and share == 0:
+    if not found and stop is None:
         warnings["no_pages"] += 1
 
 
@@ -641,18 +648,18 @@ def parse_article_dump(
     if format not in ("xml-export", "xml"):
         raise ValueError(f"unknown dump format {format!r}")
     with _open_maybe(source) as stream:
-        for doc in _article_docs(stream, skip_redirects, warnings):
-            if doc is not None:
-                yield doc
+        yield from _article_docs(stream, skip_redirects, warnings)
 
 
 def _article_docs(
-    stream: IO[bytes], skip_redirects: bool, warnings: Counter, share: int = 0, shares: int = 1
-) -> Iterator[Document | None]:
-    """One item per page of _read_pages(..., share, shares): its Document, or
-    None for a page that yields none."""
-    for page in _read_pages(stream, warnings, _article_revision, share, shares):
-        yield _article_doc(page, skip_redirects, warnings)
+    stream: IO[bytes], skip_redirects: bool, warnings: Counter, start: int = 0,
+    stop: int | None = None,
+) -> Iterator[Document]:
+    """The Documents of the pages of _read_pages(..., start, stop)."""
+    for page in _read_pages(stream, warnings, _article_revision, start, stop):
+        doc = _article_doc(page, skip_redirects, warnings)
+        if doc is not None:
+            yield doc
 
 
 def _article_doc(page: _Page, skip_redirects: bool, warnings: Counter) -> Document | None:
@@ -692,11 +699,18 @@ def parse_revision_dump(
     """
     warnings = warnings if warnings is not None else Counter()
     with _open_maybe(source) as stream:
-        for page in _read_pages(stream, warnings, _history_revision):
-            if not page.page_id:
-                raise ParseError("page without id or title", location=f"byte {page.offset}")
-            yield page.page_id, _history(page, warnings)
-            del page  # hold nothing of this page while the next one is read
+        yield from _histories(stream, warnings)
+
+
+def _histories(
+    stream: IO[bytes], warnings: Counter, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[str, list[RevisionRecord]]]:
+    """The (page_id, history) groups of the pages of _read_pages(..., start, stop)."""
+    for page in _read_pages(stream, warnings, _history_revision, start, stop):
+        if not page.page_id:
+            raise ParseError("page without id or title", location=f"byte {page.offset}")
+        yield page.page_id, _history(page, warnings)
+        del page  # hold nothing of this page while the next one is read
 
 
 def _history(page: _Page, warnings: Counter) -> list[RevisionRecord]:
@@ -792,114 +806,130 @@ def docs_to_jsonl(docs: Iterable[Document], fp: IO[str]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# extract in several processes
+# a dump file read in several processes
 
-_PIPE_BUFFER = 1 << 16  # so a child and the parent do not wake each other per page
-_END = object()
 _CHILD_ERRORS = {"CorplexError": CorplexError, "OSError": OSError}  # raised again in the parent
 
 
-def extract_forked(
-    path, out: IO[str], skip_redirects: bool, warnings: Counter, processes: int
-) -> None:
-    """docs_to_jsonl(parse_article_dump(path, ...), out), with pages read in processes.
+def _read_in_shares(source, processes: int, out: IO[str], warnings: Counter, write_share) -> list:
+    """write_share's records of every page of the dump at source, read in processes.
 
-    Page i is parsed and stripped by process i % processes: 0 is this one,
-    and the others are forked children.  Each process chunks the whole file
-    itself and passes over the pages it does not own.  A child sends one
-    line per page it owns down its pipe, the page's record or an empty
-    line, and then one last line: its warnings, or its first error.  Records
-    are written in page order, and the first error in page order is raised
-    once every record before it is written, so out, the warnings and the
-    error are those of the serial run.  Every child has ended and been
-    reaped when this returns or raises; one still running then is killed.
-    The caller runs one thread, since a forked child holds only the thread
-    that forked it.
+    write_share(stream, start, stop, out, warnings) writes to out one line per
+    record of the pages that _read_pages(stream, ..., start, stop) reads, adds
+    to warnings, and returns a list of pairs of JSON values.  Process k of P
+    owns the pages that start in the k-th of P equal byte ranges of the
+    file (_share_ranges): 0 is this process, and the others are forked
+    children.  Each child writes its records to an unlinked spool file made
+    before the fork, then one trailer line: its warnings and pairs, or its
+    first error.  This process writes its own share straight to out, then
+    waits for each child in turn and copies its spool.  So out, the
+    warnings, the first error in page order and the pairs, returned in page
+    order, are those of one process.  With one process, or when no spool
+    can be made, write_share reads the whole of source here, which may then
+    be a stream.  Every child has ended and been reaped when this returns or
+    raises; one still running then is killed.  The caller runs one thread,
+    since a forked child holds only the thread that forked it.
     """
-    pids: list[int] = []
-    readers: list[IO[bytes]] = []
-    finished = False
+    spools: list[IO[str]] = []
     try:
-        for share in range(1, processes):
-            read_fd, write_fd = os.pipe()
-            readers.append(os.fdopen(read_fd, "rb", buffering=_PIPE_BUFFER))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _extract_child(path, skip_redirects, share, processes, write_fd, readers)
-            finally:  # the child never gets here: it leaves by os._exit
-                os.close(write_fd)
+        for _ in range(processes - 1):
+            spools.append(_spool())
+    except OSError:  # no room for a spool: read in one process
+        for spool in spools:
+            spool.close()
+        spools = []
+    if not spools:
+        with _open_maybe(source) as stream:
+            return write_share(stream, 0, None, out, warnings)
+    pids: list[int] = []
+    try:
+        (start, stop), *child_ranges = _share_ranges(os.stat(source).st_size, processes)
+        for spool, (child_start, child_stop) in zip(spools, child_ranges):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _spool_share(source, child_start, child_stop, spool, write_share)
+                    code = 0
+                finally:
+                    os._exit(code)  # never return into the parent's code, nor flush its buffers
             pids.append(pid)
-        with _open_maybe(path) as stream:
-            own = map(_page_line, _article_docs(stream, skip_redirects, warnings, 0, processes))
-            shares = [own, *(_child_lines(reader, warnings) for reader in readers)]
-            owner = 0  # of the next page
-            while (line := next(shares[owner], _END)) is not _END:  # else that page is not there
-                if line != "\n":
-                    out.write(line)
-                owner = (owner + 1) % processes
-            for rest in shares:  # each has read to the end too; this takes its warnings
-                for _ in rest:
-                    pass
-        finished = True
+        with open(source, "rb") as stream:
+            pairs = write_share(stream, start, stop, out, warnings)
+        for spool in spools:
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status:
+                raise RuntimeError(f"a dump process ended without a result (wait status {status})")
+            _copy_spool(spool, out, warnings, pairs)
+        return pairs
     finally:
-        for reader in readers:
-            reader.close()
-        if pids and not finished:
+        for spool in spools:
+            spool.close()
+        if pids:  # not all reaped: the run failed
             import signal  # not at module load: only a run that failed needs it
 
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
+            for pid in pids:
+                os.waitpid(pid, 0)
 
 
-def _page_line(doc: Document | None) -> str:
-    """A page's line in extract_forked: its record, or a bare "\n" for none."""
-    return "\n" if doc is None else _jsonl_record(doc) + "\n"
+def _share_ranges(size: int, processes: int) -> list[tuple[int, int | None]]:
+    """(start, stop) of each process's byte range of a file of size bytes.
+
+    The ranges are equal to a byte, and the last one is open-ended (stop
+    None), so a page past the size read at the start still has an owner.
+    """
+    starts = [size * k // processes for k in range(processes)]
+    return list(zip(starts, [*starts[1:], None]))
 
 
-def _child_lines(reader: IO[bytes], warnings: Counter) -> Iterator[str]:
-    """A child's page lines; its warnings are added to warnings at its last
-    line, and its error is raised there."""
-    for line in reader:
-        if not line.endswith(b"\n"):
-            break
-        if line[:1] in (b"{", b"\n"):
-            yield line.decode("utf-8")
-        else:
-            kind, value = json.loads(line)
-            if kind == "warnings":
-                warnings.update(value)
-                return
-            name, message = value
-            if name in _CHILD_ERRORS:
-                raise _CHILD_ERRORS[name](message)
-            raise RuntimeError(f"{name} in an extract process: {message}")
-    raise RuntimeError("an extract process ended without a result")
+def _spool() -> IO[str]:
+    """An unlinked file for one child's records and trailer."""
+    import tempfile  # not at module load: only a run in several processes needs it
+
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
 
 
-def _extract_child(path, skip_redirects, share, shares, write_fd, readers) -> NoReturn:
-    """Child share of extract_forked: its lines go to write_fd, and then it exits."""
-    code = 1
+def _spool_share(source, start: int, stop: int | None, spool: IO[str], write_share) -> None:
+    """A child's share of _read_in_shares: its records, then its trailer, in spool."""
+    warnings: Counter = Counter()
     try:
-        for reader in readers:  # the parent's ends of the pipes, its own included
-            reader.close()
-        with os.fdopen(write_fd, "wb", buffering=_PIPE_BUFFER) as pipe:
-            warnings: Counter = Counter()
-            try:
-                with _open_maybe(path) as stream:
-                    for doc in _article_docs(stream, skip_redirects, warnings, share, shares):
-                        pipe.write(_page_line(doc).encode("utf-8"))
-                end = ["warnings", warnings]
-            except Exception as exc:
-                name = next((name for name, cls in _CHILD_ERRORS.items() if isinstance(exc, cls)),
-                            type(exc).__name__)
-                end = ["error", [name, str(exc)]]
-            pipe.write(json.dumps(end).encode() + b"\n")
-        code = 0
-    finally:
-        os._exit(code)  # never return into the parent's code, nor flush its buffers
+        with open(source, "rb") as stream:
+            pairs = write_share(stream, start, stop, spool, warnings)
+        trailer = ["warnings", warnings, list(chain.from_iterable(pairs))]
+    except Exception as exc:  # sent to the parent, which raises it
+        name = next((name for name, cls in _CHILD_ERRORS.items() if isinstance(exc, cls)),
+                    type(exc).__name__)
+        trailer = ["error", name, str(exc)]
+    spool.write(json.dumps(trailer) + "\n")
+    spool.flush()
+
+
+def _copy_spool(spool: IO[str], out: IO[str], warnings: Counter, pairs: list) -> None:
+    """A child's records copied to out, then its warnings added and its pairs
+    appended to pairs, or its error raised once the records before it are copied.
+
+    The trailer's pairs come as one flat list, which costs less to hold
+    while the pairs are built than a list per pair.
+    """
+    spool.seek(0)
+    trailer = spool.readline()
+    while line := spool.readline():
+        out.write(trailer)
+        trailer = line
+    if not trailer.startswith('["'):
+        raise RuntimeError("a dump process ended without a result")
+    kind, first, second = json.loads(trailer)
+    if kind == "warnings":
+        warnings.update(first)
+        values = iter(second)
+        pairs.extend(zip(values, values))
+        return
+    if first in _CHILD_ERRORS:
+        raise _CHILD_ERRORS[first](second)
+    raise RuntimeError(f"{first} in a dump process: {second}")
 
 
 def _open_maybe(source):

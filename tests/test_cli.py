@@ -828,6 +828,30 @@ def test_mutated_dump_extracts_alike_in_one_and_two_processes(edits, cut):
     assert two == one
 
 
+def _conflict_in(processes: int, src: Path) -> tuple:
+    """(exit code, stdout, stderr, --ranking file or None) of conflict over src
+    in `processes` processes."""
+    ranking = src.with_name("rank.tsv")
+    ranking.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_usable_cpus", lambda: processes), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["conflict", str(src), "--ranking", str(ranking)])
+    return code, out.getvalue(), err.getvalue(), ranking.read_bytes() if ranking.exists() else None
+
+
+@settings(max_examples=25, deadline=None)
+@given(edits=_edits, cut=st.none() | st.integers(0, 1 << 20))
+def test_mutated_dump_scores_alike_in_one_and_two_processes(edits, cut):
+    """Pages read in two processes give the records, ranking, warnings, error
+    and exit code of one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "input.xml"
+        src.write_bytes(_mutate((DATA / "history.xml").read_bytes(), edits, cut))
+        one, two = _conflict_in(1, src), _conflict_in(2, src)
+    assert two == one
+
+
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether a fresh interpreter holds module after importing corplex.cli."""
     probe = f"import sys, corplex.cli; print({module!r} in sys.modules)"
