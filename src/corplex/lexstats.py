@@ -35,7 +35,7 @@ from collections import Counter, _count_elements
 from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .textpipe import Sentence, Token, type_counts, type_facts
+from .textpipe import Sentence, Token, _Table, type_counts, type_facts
 
 BOUNDARY = "§"
 
@@ -261,24 +261,11 @@ def _mask_action(n: int, mask: int):
     return (~out & (out + 1)).bit_length() - 1, n - (full ^ out).bit_length()
 
 
-class _MaskRules(dict):
-    """Marker bitmask -> _mask_action(n, mask) for one n, filled as masks turn up.
-
-    At most 2**n entries, and only the masks real windows have.  A lookup
-    here costs a plain dict hit; a functools.cache on _mask_action would
-    build and hash an (n, mask) tuple for every marked key.
-    """
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, mask: int):
-        action = self[mask] = _mask_action(self.n, mask)
-        return action
-
-
-_mask_rules = functools.cache(_MaskRules)  # one table per n
+# One table per n, marker bitmask -> _mask_action(n, mask), filled as masks
+# turn up: at most 2**n entries, and only the masks real windows have.  A
+# lookup costs a plain dict hit; a functools.cache on _mask_action would
+# build and hash an (n, mask) tuple for every marked key.
+_mask_rules = functools.cache(lambda n: _Table(functools.partial(_mask_action, n)))
 
 
 def _section_stream(sentences) -> list[str]:

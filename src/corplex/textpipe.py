@@ -16,8 +16,9 @@ turns up in:
   corpus ratios, V, N, entropies and fog all read it;
 - the stem table, surface -> the Porter stem's Token.
 
-Each is a plain dict cleared when it reaches TYPE_TABLE_SIZE entries, which
-bounds memory; a cleared entry is computed again, with the same result.
+Each is a _Table: a dict that makes an entry the first time its key is
+looked up.  A table holds one entry per type the process has met, for as
+long as the process lives; nothing clears it.
 """
 
 from __future__ import annotations
@@ -65,25 +66,23 @@ def classify(surface: str) -> str:
     return PUNCTUATION
 
 
-#: entries a per-type table holds before it is cleared
-TYPE_TABLE_SIZE = 65536
+class _Table(dict):
+    """key -> make(key), made the first time key is looked up and then kept."""
 
+    __slots__ = ("make",)
 
-def _store(table: dict, key, value):
-    """table[key] = value, the table cleared first when it is full; returns value."""
-    if len(table) >= TYPE_TABLE_SIZE:
-        table.clear()
-    table[key] = value
-    return value
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 # one shared Token per type, so cached sentences cost a reference per token
-_TOKENS: dict[str, Token] = {}
-
-
-def _token(surface: str) -> Token:
-    # a Token, a TypeFacts and a stem Token are non-empty tuples, never falsy
-    return _TOKENS.get(surface) or _store(_TOKENS, surface, Token(surface, classify(surface)))
+_TOKENS = _Table(lambda surface: Token(surface, classify(surface)))
+_token = _TOKENS.__getitem__
 
 
 def tokenize(text: str) -> list[Token]:
@@ -257,9 +256,6 @@ class TypeFacts(NamedTuple):
     complex: bool  # a word of three or more syllables
 
 
-_FACTS: dict[Token, TypeFacts] = {}
-
-
 def _facts(tok: Token) -> TypeFacts:
     surface, kind = tok
     lower = surface.lower()
@@ -276,18 +272,12 @@ def _facts(tok: Token) -> TypeFacts:
     )
 
 
-def type_facts(tok: Token) -> TypeFacts:
-    """The token type's record, made the first time the type turns up."""
-    return _FACTS.get(tok) or _store(_FACTS, tok, _facts(tok))
+# type_facts(tok): the token type's record, made the first time the type turns up
+_FACTS = _Table(_facts)
+type_facts = _FACTS.__getitem__
 
-
-_STEMS: dict[str, Token] = {}
-
-
-def stem_token(surface: str) -> Token:
-    """The Token of porter_stem(surface) for a word, computed once per surface.
-
-    A word's stem is a word: the stem of an alphabetic word is alphabetic,
-    and any other word comes back unchanged.
-    """
-    return _STEMS.get(surface) or _store(_STEMS, surface, _token(porter_stem(surface)))
+# stem_token(surface): the Token of porter_stem(surface) for a word, made
+# once per surface.  A word's stem is a word: the stem of an alphabetic word
+# is alphabetic, and any other word comes back unchanged.
+_STEMS = _Table(lambda surface: _token(porter_stem(surface)))
+stem_token = _STEMS.__getitem__

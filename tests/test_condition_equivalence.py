@@ -733,8 +733,8 @@ class TestCompareNgramFields:
             assert got == expected[code]
 
 
-class TestClearedTables:
-    """A table cleared when full computes its entries again: outputs do not move."""
+class TestTableContents:
+    """Outputs do not depend on what the process-wide per-type tables hold."""
 
     DOCS = [Doc(i, body) for i, body in enumerate([
         "Running runners ran. The RUNNERS were running quickly!\nİstanbul and ISTANBUL, § 12.",
@@ -754,12 +754,25 @@ class TestClearedTables:
         out.append(readability.corpus_fog(self.DOCS))
         return out
 
-    @pytest.mark.parametrize("size", [1, 2, 7])
-    def test_small_bound(self, monkeypatch, size):
-        expected = self.run_all()
-        monkeypatch.setattr(textpipe, "TYPE_TABLE_SIZE", size)
+    # other text sharing some types with DOCS, some in other cases
+    OTHER = [Doc(i, body) for i, body in enumerate([
+        "RUNNING runs; the runner's idea: interesting families (ISTANBUL) ran.",
+        "Organizations communicate. Dr. Who? § 7, 3.5 and it's QUIET evenings!",
+    ])]
+
+    @staticmethod
+    def empty_tables():
         for table in (textpipe._TOKENS, textpipe._FACTS, textpipe._STEMS):
             table.clear()
+
+    def test_filled_by_other_text(self):
+        self.empty_tables()
+        expected = self.run_all()
+        self.empty_tables()
+        for seed in (0, 1):
+            report.compare_corpora(self.OTHER, self.OTHER, ngram_max_n=2, seed=seed)
+        readability.corpus_fog(self.OTHER)
+        filled = len(textpipe._FACTS)
         assert self.run_all() == expected
-        for table in (textpipe._TOKENS, textpipe._FACTS, textpipe._STEMS):
-            assert len(table) <= size
+        assert len(textpipe._FACTS) > filled  # DOCS met types OTHER did not have
+        assert self.run_all() == expected  # every type already in the tables

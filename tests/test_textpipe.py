@@ -1,6 +1,10 @@
+from collections import Counter
+from itertools import islice, product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from corplex import lexstats, readability, textpipe
 from corplex.sampling import ConditionSpec, LineCache
 from corplex.textpipe import (
     NUMBER,
@@ -123,6 +127,36 @@ class TestFilterPunctuation:
     def test_idempotent(self):
         once = self.strip(["a, b; c."])
         assert self.strip([detokenize(s.tokens) for s in once]) == once
+
+
+class TestTypeTables:
+    """The per-type tables keep every type they meet, however many."""
+
+    def test_each_surface_measured_once_past_65536_types(self, monkeypatch):
+        for table in (textpipe._TOKENS, textpipe._FACTS, textpipe._STEMS):
+            table.clear()
+        calls = Counter()
+        for name in ("count_syllables", "porter_stem"):
+            def counting(word, real=getattr(textpipe, name), name=name):
+                calls[name, word] += 1
+                return real(word)
+            monkeypatch.setattr(textpipe, name, counting)
+        # four-syllable words ending in k, which Porter leaves as they are,
+        # so the stemmed corpus has as many types as the raw one
+        syllables = [c + v for c in "bdfgmnprt" for v in "aiou"]
+        words = ["".join(w) + "k" for w in islice(product(syllables, repeat=4), 70_000)]
+        lines = [" ".join(words[i:i + 100]) + " ." for i in range(0, len(words), 100)]
+        cache = LineCache()
+        stemmed = cache.apply(lines, ConditionSpec.parse("WBP"))
+        types = textpipe.type_counts(stemmed)
+        tallies = [lexstats.tally_types(types) for _ in range(2)]
+        fog = readability.gunning_fog([s for line in lines for s in cache.sentences(line)])
+        assert tallies[0] == tallies[1]
+        assert len(tallies[0].folded) == len(words) + 1  # and the "."
+        assert fog.complex_words == len(words)
+        assert sorted(calls) == sorted((name, w) for name in ("count_syllables", "porter_stem")
+                                       for w in words)
+        assert set(calls.values()) == {1}
 
 
 class TestSyllables:
