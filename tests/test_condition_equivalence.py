@@ -733,8 +733,8 @@ class TestCompareNgramFields:
             assert got == expected[code]
 
 
-class TestTableContents:
-    """Outputs do not depend on what the process-wide per-type tables hold."""
+class _TableRuns:
+    """Every table-backed output of a small corpus, to compare across table states."""
 
     DOCS = [Doc(i, body) for i, body in enumerate([
         "Running runners ran. The RUNNERS were running quickly!\nİstanbul and ISTANBUL, § 12.",
@@ -754,15 +754,43 @@ class TestTableContents:
         out.append(readability.corpus_fog(self.DOCS))
         return out
 
+    @staticmethod
+    def tables():
+        return (textpipe._TOKENS, textpipe._FACTS, textpipe._STEMS)
+
+
+class TestClearedTables(_TableRuns):
+    """A table cleared when full computes its entries again: outputs do not move."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    def test_small_bound(self, monkeypatch, size):
+        expected = self.run_all()
+
+        def missing_clearing_when_full(table, key):
+            if len(table) >= size:
+                table.clear()
+            value = table[key] = table.make(key)
+            return value
+
+        monkeypatch.setattr(textpipe._Table, "__missing__", missing_clearing_when_full)
+        for table in self.tables():
+            table.clear()
+        assert self.run_all() == expected
+        for table in self.tables():
+            assert len(table) <= size
+
+
+class TestTableContents(_TableRuns):
+    """Outputs do not depend on what the process-wide per-type tables hold."""
+
     # other text sharing some types with DOCS, some in other cases
     OTHER = [Doc(i, body) for i, body in enumerate([
         "RUNNING runs; the runner's idea: interesting families (ISTANBUL) ran.",
         "Organizations communicate. Dr. Who? § 7, 3.5 and it's QUIET evenings!",
     ])]
 
-    @staticmethod
-    def empty_tables():
-        for table in (textpipe._TOKENS, textpipe._FACTS, textpipe._STEMS):
+    def empty_tables(self):
+        for table in self.tables():
             table.clear()
 
     def test_filled_by_other_text(self):
