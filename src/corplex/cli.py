@@ -130,7 +130,7 @@ def _usable_cpus() -> int:
 
 def _dump_processes(args) -> int:
     """Every usable CPU for an XML dump in a regular file, else 1."""
-    if getattr(args, "format", "xml") == "jsonl" or args.input == "-" or not hasattr(os, "fork"):
+    if getattr(args, "format", "xml") == "jsonl" or args.input == "-":
         return 1
     return _usable_cpus() if os.path.isfile(args.input) else 1
 
@@ -138,8 +138,8 @@ def _dump_processes(args) -> int:
 def _cmd_extract(args, warnings: Counter) -> None:
     skip_redirects = not args.keep_redirects
 
-    def write_share(stream, start, stop, out, warnings) -> list:
-        docs_to_jsonl(_article_docs(stream, skip_redirects, warnings, start, stop), out)
+    def write_share(source, start, stop, out, warnings) -> list:
+        docs_to_jsonl(_article_docs(source, skip_redirects, warnings, start, stop), out)
         return []
 
     with _open_output(args.output) as out:
@@ -256,9 +256,9 @@ def _cmd_conflict(args, warnings: Counter) -> None:
     # fails part-way leaves the records of the pages before the failure
     # (-M, page_id) per page for --ranking: page ids are str, so the tuples
     # sort in ranking order, M descending, then page_id
-    def write_share(stream, start, stop, out, warnings) -> list:
+    def write_share(source, start, stop, out, warnings) -> list:
         ranked = []
-        for page_id, history in _histories(stream, warnings, start, stop):
+        for page_id, history in _histories(source, warnings, start, stop):
             if not history:
                 warnings["empty_history"] += 1
                 continue

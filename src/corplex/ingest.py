@@ -11,8 +11,9 @@ cleared once its fields are read, so reading it holds one block plus the
 page's distinct texts, once each: equal texts of a page share one str.
 parse_revision_dump keeps nothing of a page it has yielded, so one page is
 in memory at a time.  _read_in_shares reads a dump file in several
-processes, each the pages that start in its own byte range of the file, and
-writes what one process would.  JSONL and other text inputs are read as
+processes, each the pages that start in its own byte range of the file, as
+jobs of the package's one fork helper, _fork.run_jobs, and writes what one
+process would.  JSONL and other text inputs are read as
 UTF-8, and a byte that is not UTF-8 is a ParseError at its line.
 
 Everything here runs in time linear in its input: the page chunker reads
@@ -26,6 +27,7 @@ counted as the ``markup_fixpoint_cap`` warning.
 from __future__ import annotations
 
 import contextlib
+import functools
 import html.entities
 import io
 import json
@@ -37,7 +39,7 @@ from datetime import datetime, timezone
 from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import CorplexError, MarkupError, ParseError
+from .errors import MarkupError, ParseError
 
 
 class Document(NamedTuple):
@@ -553,28 +555,30 @@ def _read_page(parts: Iterator[bytes], offset: int, read_revision) -> _Page:
 
 
 def _read_pages(
-    stream: IO[bytes], warnings: Counter, read_revision, start: int = 0, stop: int | None = None
+    source, warnings: Counter, read_revision, start: int = 0, stop: int | None = None
 ) -> Iterator[_Page]:
-    """Each <page> of the stream that starts at a byte offset in [start, stop), read.
+    """Each <page> of source that starts at a byte offset in [start, stop), read.
 
-    stop None is the end of the stream.  The stream is chunked from its
-    first byte, so page boundaries and chunker errors do not depend on the
-    range: the pages before start are passed over unparsed, and reading
-    ends at the first page that starts at or past stop.  So the pages of
-    consecutive ranges, joined, are the stream's pages, each once.  A
-    stream with no page counts no_pages, in the open-ended range only: the
-    ranges of a file of fewer bytes than processes share their start.
+    source is a path or a binary stream, left open; stop None is its end.
+    It is chunked from its first byte, so page boundaries and chunker errors
+    do not depend on the range: the pages before start are passed over
+    unparsed, and reading ends at the first page that starts at or past
+    stop.  So the pages of consecutive ranges, joined, are the stream's
+    pages, each once.  A stream with no page counts no_pages, in the
+    open-ended range only: the ranges of a file of fewer bytes than
+    processes share their start.
     """
     found = False
-    for parts, offset in _iter_page_chunks(stream):
-        found = True
-        if stop is not None and offset >= stop:
-            return
-        if offset >= start:
-            yield _read_page(parts, offset, read_revision)
-        else:
-            for _ in parts:
-                pass
+    with _open_maybe(source) as stream:
+        for parts, offset in _iter_page_chunks(stream):
+            found = True
+            if stop is not None and offset >= stop:
+                return
+            if offset >= start:
+                yield _read_page(parts, offset, read_revision)
+            else:
+                for _ in parts:
+                    pass
     if not found and stop is None:
         warnings["no_pages"] += 1
 
@@ -647,16 +651,14 @@ def parse_article_dump(
         return
     if format not in ("xml-export", "xml"):
         raise ValueError(f"unknown dump format {format!r}")
-    with _open_maybe(source) as stream:
-        yield from _article_docs(stream, skip_redirects, warnings)
+    yield from _article_docs(source, skip_redirects, warnings)
 
 
 def _article_docs(
-    stream: IO[bytes], skip_redirects: bool, warnings: Counter, start: int = 0,
-    stop: int | None = None,
+    source, skip_redirects: bool, warnings: Counter, start: int = 0, stop: int | None = None
 ) -> Iterator[Document]:
-    """The Documents of the pages of _read_pages(..., start, stop)."""
-    for page in _read_pages(stream, warnings, _article_revision, start, stop):
+    """The Documents of the pages of _read_pages(source, ..., start, stop)."""
+    for page in _read_pages(source, warnings, _article_revision, start, stop):
         doc = _article_doc(page, skip_redirects, warnings)
         if doc is not None:
             yield doc
@@ -698,15 +700,14 @@ def parse_revision_dump(
     one page at a time is in memory if the caller drops each in turn.
     """
     warnings = warnings if warnings is not None else Counter()
-    with _open_maybe(source) as stream:
-        yield from _histories(stream, warnings)
+    yield from _histories(source, warnings)
 
 
 def _histories(
-    stream: IO[bytes], warnings: Counter, start: int = 0, stop: int | None = None
+    source, warnings: Counter, start: int = 0, stop: int | None = None
 ) -> Iterator[tuple[str, list[RevisionRecord]]]:
-    """The (page_id, history) groups of the pages of _read_pages(..., start, stop)."""
-    for page in _read_pages(stream, warnings, _history_revision, start, stop):
+    """The (page_id, history) groups of the pages of _read_pages(source, ..., start, stop)."""
+    for page in _read_pages(source, warnings, _history_revision, start, stop):
         if not page.page_id:
             raise ParseError("page without id or title", location=f"byte {page.offset}")
         yield page.page_id, _history(page, warnings)
@@ -808,71 +809,25 @@ def docs_to_jsonl(docs: Iterable[Document], fp: IO[str]) -> int:
 # ---------------------------------------------------------------------------
 # a dump file read in several processes
 
-_CHILD_ERRORS = {"CorplexError": CorplexError, "OSError": OSError}  # raised again in the parent
-
 
 def _read_in_shares(source, processes: int, out: IO[str], warnings: Counter, write_share) -> list:
     """write_share's records of every page of the dump at source, read in processes.
 
-    write_share(stream, start, stop, out, warnings) writes to out one line per
-    record of the pages that _read_pages(stream, ..., start, stop) reads, adds
-    to warnings, and returns a list of pairs of JSON values.  Process k of P
-    owns the pages that start in the k-th of P equal byte ranges of the
-    file (_share_ranges): 0 is this process, and the others are forked
-    children.  Each child writes its records to an unlinked spool file made
-    before the fork, then one trailer line: its warnings and pairs, or its
-    first error.  This process writes its own share straight to out, then
-    waits for each child in turn and copies its spool.  So out, the
-    warnings, the first error in page order and the pairs, returned in page
-    order, are those of one process.  With one process, or when no spool
-    can be made, write_share reads the whole of source here, which may then
-    be a stream.  Every child has ended and been reaped when this returns or
-    raises; one still running then is killed.  The caller runs one thread,
-    since a forked child holds only the thread that forked it.
+    write_share(source, start, stop, out, warnings) writes to out one line per
+    record of the pages that _read_pages(source, ..., start, stop) reads, adds
+    to warnings, and returns a list.  Process k of P reads the pages that
+    start in the k-th of P equal byte ranges of the file (_share_ranges) as
+    job k of _fork.run_jobs, so out, the warnings, the first error and the
+    lists, joined in page order, are those of one process.  With one
+    process, write_share reads the whole of source, which may be a stream.
     """
-    spools: list[IO[str]] = []
-    try:
-        for _ in range(processes - 1):
-            spools.append(_spool())
-    except OSError:  # no room for a spool: read in one process
-        for spool in spools:
-            spool.close()
-        spools = []
-    if not spools:
-        with _open_maybe(source) as stream:
-            return write_share(stream, 0, None, out, warnings)
-    pids: list[int] = []
-    try:
-        (start, stop), *child_ranges = _share_ranges(os.stat(source).st_size, processes)
-        for spool, (child_start, child_stop) in zip(spools, child_ranges):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    _spool_share(source, child_start, child_stop, spool, write_share)
-                    code = 0
-                finally:
-                    os._exit(code)  # never return into the parent's code, nor flush its buffers
-            pids.append(pid)
-        with open(source, "rb") as stream:
-            pairs = write_share(stream, start, stop, out, warnings)
-        for spool in spools:
-            _, status = os.waitpid(pids[0], 0)
-            del pids[0]
-            if status:
-                raise RuntimeError(f"a dump process ended without a result (wait status {status})")
-            _copy_spool(spool, out, warnings, pairs)
-        return pairs
-    finally:
-        for spool in spools:
-            spool.close()
-        if pids:  # not all reaped: the run failed
-            import signal  # not at module load: only a run that failed needs it
+    if processes <= 1:
+        return write_share(source, 0, None, out, warnings)
+    from ._fork import run_jobs  # only a dump read in several processes forks
 
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            for pid in pids:
-                os.waitpid(pid, 0)
+    ranges = _share_ranges(os.stat(source).st_size, processes)
+    jobs = [functools.partial(write_share, source, start, stop) for start, stop in ranges]
+    return list(chain.from_iterable(run_jobs(jobs, out, warnings)))
 
 
 def _share_ranges(size: int, processes: int) -> list[tuple[int, int | None]]:
@@ -883,53 +838,6 @@ def _share_ranges(size: int, processes: int) -> list[tuple[int, int | None]]:
     """
     starts = [size * k // processes for k in range(processes)]
     return list(zip(starts, [*starts[1:], None]))
-
-
-def _spool() -> IO[str]:
-    """An unlinked file for one child's records and trailer."""
-    import tempfile  # not at module load: only a run in several processes needs it
-
-    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
-
-
-def _spool_share(source, start: int, stop: int | None, spool: IO[str], write_share) -> None:
-    """A child's share of _read_in_shares: its records, then its trailer, in spool."""
-    warnings: Counter = Counter()
-    try:
-        with open(source, "rb") as stream:
-            pairs = write_share(stream, start, stop, spool, warnings)
-        trailer = ["warnings", warnings, list(chain.from_iterable(pairs))]
-    except Exception as exc:  # sent to the parent, which raises it
-        name = next((name for name, cls in _CHILD_ERRORS.items() if isinstance(exc, cls)),
-                    type(exc).__name__)
-        trailer = ["error", name, str(exc)]
-    spool.write(json.dumps(trailer) + "\n")
-    spool.flush()
-
-
-def _copy_spool(spool: IO[str], out: IO[str], warnings: Counter, pairs: list) -> None:
-    """A child's records copied to out, then its warnings added and its pairs
-    appended to pairs, or its error raised once the records before it are copied.
-
-    The trailer's pairs come as one flat list, which costs less to hold
-    while the pairs are built than a list per pair.
-    """
-    spool.seek(0)
-    trailer = spool.readline()
-    while line := spool.readline():
-        out.write(trailer)
-        trailer = line
-    if not trailer.startswith('["'):
-        raise RuntimeError("a dump process ended without a result")
-    kind, first, second = json.loads(trailer)
-    if kind == "warnings":
-        warnings.update(first)
-        values = iter(second)
-        pairs.extend(zip(values, values))
-        return
-    if first in _CHILD_ERRORS:
-        raise _CHILD_ERRORS[first](second)
-    raise RuntimeError(f"{first} in a dump process: {second}")
 
 
 def _open_maybe(source):

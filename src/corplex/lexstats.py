@@ -336,26 +336,17 @@ def ngram_counts(sentences, n: int, boundary_policy: str = "postprocessed") -> C
     return count_corpus_ngrams([sentences], n, boundary_policy)
 
 
-_worker_job = None  # (shards, n, postprocess), set only inside pool workers
-
-
-def _init_worker(shards, n: int, postprocess: bool) -> None:
-    global _worker_job
-    _worker_job = (shards, n, postprocess)
-
-
-def _count_shard(index: int) -> dict[tuple[str, ...], int]:
-    shards, n, postprocess = _worker_job
-    return _count_sections(shards[index], n, postprocess)
-
-
 def count_corpus_ngrams(
     sections, n: int, boundary_policy: str = "postprocessed", processes: int = 1
 ) -> CountTable:
     """Count n-grams over many sections (documents) and merge.
 
     Each section gets its own marker frame, so the result is identical for
-    any sharding of the section list, including processes > 1.
+    any sharding of the section list.  With processes > 1 the sections are
+    dealt round-robin into shards, one job each of _fork.run_jobs: this
+    process counts the first shard and forked children the others, or this
+    process all of them, in order, without os.fork.  The tables merge in
+    shard order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -370,14 +361,11 @@ def count_corpus_ngrams(
         shards: list[list] = [[] for _ in range(min(processes, len(sections)))]
         for i, sentences in enumerate(sections):
             shards[i % len(shards)].append(sentences)
-        import multiprocessing  # only sharded counting needs it; keep it off start-up
+        from ._fork import run_jobs  # only sharded counting forks; keep it off start-up
 
-        # fork workers inherit the shards from the initializer arguments, so
-        # no token is pickled on the way in; tasks carry only shard indices
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(shards), initializer=_init_worker,
-                      initargs=(shards, n, postprocess)) as pool:
-            results = pool.map(_count_shard, range(len(shards)))
+        jobs = [lambda out, warnings, shard=shard: _count_sections(shard, n, postprocess)
+                for shard in shards]
+        results = run_jobs(jobs, None, Counter())
         counts = results[0]
         get = counts.get
         for part in results[1:]:

@@ -852,9 +852,10 @@ def test_mutated_dump_scores_alike_in_one_and_two_processes(edits, cut):
     assert two == one
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter holds module after importing corplex.cli."""
-    probe = f"import sys, corplex.cli; print({module!r} in sys.modules)"
+def _loaded_by_cli_import(module: str, then: str = "") -> bool:
+    """Whether a fresh interpreter holds module after importing corplex.cli,
+    then running the statement then."""
+    probe = f"import sys, corplex.cli; {then or 'pass'}; print({module!r} in sys.modules)"
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -871,8 +872,11 @@ def test_import_does_not_load_numpy():
 
 
 def test_import_does_not_load_multiprocessing():
-    # only sharded n-gram counting (processes > 1) starts a pool
-    assert not _loaded_by_cli_import("multiprocessing")
+    # sharded n-gram counting forks through the package's own helper, as the
+    # dump commands do, so not even a run of it loads multiprocessing
+    corpus = str(DATA / "golden" / "extracted_a.jsonl")
+    argv = ["ngram", corpus, "--n", "2", "--processes", "2", "-o", os.devnull]
+    assert not _loaded_by_cli_import("multiprocessing", f"assert corplex.cli.main({argv!r}) == 0")
 
 
 def _console_script_command():

@@ -13,6 +13,7 @@ policies and with sharded counting.
 """
 
 import math
+import os
 import random
 import re
 from collections import Counter
@@ -500,6 +501,17 @@ class TestMaskTable:
         expected = old_count_corpus_ngrams_by_key(secs, n, policy == "postprocessed", processes=2)
         assert list(table.entries.items()) == list(expected.items())
 
+    @pytest.mark.parametrize("policy", ["raw", "postprocessed"])
+    @settings(max_examples=15, deadline=None)
+    @given(secs=sections, n=st.integers(1, 6))
+    def test_sharded_without_fork_matches_distinct_key_counter(self, policy, n, secs):
+        # without os.fork every shard is counted here, in order
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, "fork")
+            table = lexstats.count_corpus_ngrams(secs, n, policy, processes=2)
+        expected = old_count_corpus_ngrams_by_key(secs, n, policy == "postprocessed", processes=2)
+        assert list(table.entries.items()) == list(expected.items())
+
     @pytest.mark.parametrize("processes", [1, 2])
     def test_rule_output_collision_matches_distinct_key_counter(self, processes):
         secs = [[("a", "a"), ("a",), (), ("a", "a"), (), (), ()], [("a",), ()]]
@@ -516,9 +528,14 @@ class TestMaskTable:
         rules = {mask: lexstats._mask_action(3, mask) for mask in range(1, 8)}
         rules.update(broken)
         monkeypatch.setattr(lexstats, "_mask_rules", lambda n: rules)
-        secs = [[("a", "b"), ("c",)], [("d", "e"), ("f",)]]
-        with pytest.raises(AssertionError, match="boundary at center"):
-            lexstats.count_corpus_ngrams(secs, 3, "postprocessed", processes=processes)
+        both = [[("a", "b"), ("c",)], [("d", "e"), ("f",)]]
+        # "§ a §" holds neither broken mask, so at 2 processes the error
+        # comes from the forked child's shard alone
+        second_only = [[("a",)], [("d", "e"), ("f",)]]
+        for secs in (both, second_only):
+            with pytest.raises(AssertionError, match="boundary at center"):
+                lexstats.count_corpus_ngrams(secs, 3, "postprocessed", processes=processes)
+        lexstats.count_corpus_ngrams(second_only[:1], 3, "postprocessed")  # the first is sound
 
     def test_center_check_on_marked_keys(self):
         lexstats._check_center(3, [(BOUNDARY, "a", "b"), ("a", "b", BOUNDARY)])

@@ -5,6 +5,7 @@ stderr and the exit code are those of one process, and no process outlives
 the command."""
 
 import io
+import json
 import os
 import signal
 from collections import Counter
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corplex import cli, ingest
+from corplex import _fork, cli, ingest, lexstats
 
 DATA = Path(__file__).parent / "data"
 TS = "2020-01-01T00:00:00Z"
@@ -67,6 +68,12 @@ DUMPS = {
     **{f"malformed_p{i}": dump(*pages(7, **{f"p{i}": MALFORMED})) for i in range(4)},
     **{f"untitled_p{i}": dump(*pages(7, **{f"p{i}": page("", "No title.")})) for i in range(4)},
 }
+
+
+# ngram's input: 30 documents, each one section of sharded counting
+CORPUS = "".join(
+    json.dumps({"id": i, "title": f"T{i}", "text": f"Words of document {i}. More, {i % 4} here."})
+    + "\n" for i in range(30))
 
 
 EDIT_WAR = [("A", "p"), ("B", "q"), ("A", "p"), ("B", "r"), ("A", "s"), ("B", "r"),
@@ -321,27 +328,33 @@ def test_shares_read_each_page_once(dump_and_count):
 
 
 class TestSpoolAndChildFailures:
-    """A run in several processes that cannot make a spool reads in one; a
-    child that ends without its trailer is an error, never a short output."""
+    """A run in several processes that cannot make a spool runs in one; a
+    child that ends without its outcome is an error, never a short output.
+    Both callers of the fork helper: the dump readers, and ngram's sharded
+    counting."""
 
-    ARGV = {"extract": [], "conflict": ["--ranking", "{tmp}/rank.tsv"]}
+    ARGV = {"extract": [], "conflict": ["--ranking", "{tmp}/rank.tsv"],
+            "ngram": ["--n", "2", "--format", "tsv", "--processes", "{processes}"]}
 
     def run(self, command, tmp_path, monkeypatch, capfdbinary, processes):
         src = tmp_path / "dump.xml"
-        src.write_text(dump(*histories(30)), encoding="utf-8")
+        if command == "ngram":
+            src.write_text(CORPUS, encoding="utf-8")
+        else:
+            src.write_text(dump(*histories(30)), encoding="utf-8")
         monkeypatch.setattr(cli, "_usable_cpus", lambda: processes)
-        argv = [a.format(tmp=tmp_path) for a in self.ARGV[command]]
+        argv = [a.format(tmp=tmp_path, processes=processes) for a in self.ARGV[command]]
         code = cli.main([command, str(src), *argv])
         out, err = capfdbinary.readouterr()
         rank = tmp_path / "rank.tsv"
         return code, out, err, rank.read_bytes() if rank.exists() else None
 
-    @pytest.mark.parametrize("command", sorted(ARGV))
-    def test_no_spool_reads_in_one_process(self, command, tmp_path, monkeypatch, capfdbinary):
-        one = self.run(command, tmp_path, monkeypatch, capfdbinary, 1)
+    def no_spool(self, monkeypatch):
+        """The first spool is made, the second finds the disk full, and fork
+        fails the test; the spools made, closed by the time the run ends."""
         made = []
 
-        def spool():  # the first spool is made, the second finds the disk full
+        def spool():
             if made:
                 raise OSError(28, "No space left on device")
             made.append(real_spool())
@@ -350,12 +363,25 @@ class TestSpoolAndChildFailures:
         def no_fork():
             raise AssertionError("forked without spools")
 
-        real_spool = ingest._spool
-        monkeypatch.setattr(ingest, "_spool", spool)
+        real_spool = _fork._spool
+        monkeypatch.setattr(_fork, "_spool", spool)
         monkeypatch.setattr(os, "fork", no_fork)
+        return made
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_no_spool_reads_in_one_process(self, command, tmp_path, monkeypatch, capfdbinary):
+        one = self.run(command, tmp_path, monkeypatch, capfdbinary, 1)
+        made = self.no_spool(monkeypatch)
         assert self.run(command, tmp_path, monkeypatch, capfdbinary, 3) == one
         assert one[0] == 0 and one[1]
         assert made and made[0].closed
+
+    def test_no_spool_counts_in_shard_order(self, monkeypatch):
+        sections = [[("w", str(i), str(i % 4))] for i in range(30)]
+        forked = lexstats.count_corpus_ngrams(sections, 2, processes=3).entries
+        self.no_spool(monkeypatch)
+        assert list(lexstats.count_corpus_ngrams(sections, 2, processes=3).entries.items()) \
+            == list(forked.items())
 
     @pytest.mark.parametrize("command", sorted(ARGV))
     @pytest.mark.parametrize("worker", [
@@ -366,7 +392,7 @@ class TestSpoolAndChildFailures:
     ], ids=["exit_3", "killed", "no_trailer", "raises"])
     def test_child_without_a_trailer_is_an_error(self, command, worker, tmp_path, monkeypatch,
                                                  capfdbinary):
-        monkeypatch.setattr(ingest, "_spool_share", worker)
+        monkeypatch.setattr(_fork, "_run_child", worker)
         with pytest.raises(RuntimeError, match="ended without a result"):
             self.run(command, tmp_path, monkeypatch, capfdbinary, 3)
         assert not (tmp_path / "rank.tsv").exists()
@@ -469,10 +495,13 @@ class TestProcessCount:
         assert self.count([str(tmp_path / "fifo")]) == 1
         assert self.count([str(tmp_path / "missing.xml")]) == 1
 
-    def test_one_process_without_fork(self, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
+    def test_one_process_without_fork(self, monkeypatch, capfdbinary):
+        # the fork helper, not the count, runs every share here without fork
+        argv = [str(DATA / "mini_dump_a.xml")]
+        one = extract(monkeypatch, capfdbinary, 1, argv)
         monkeypatch.delattr(os, "fork")
-        assert self.count([str(DATA / "mini_dump_a.xml")]) == 1
+        assert extract(monkeypatch, capfdbinary, 5, argv) == one
+        assert one[0] == 0 and one[1]
 
     def test_conflict_file_uses_every_usable_cpu(self, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
@@ -485,10 +514,12 @@ class TestProcessCount:
         path = {"stdin": "-", "fifo": str(tmp_path / "fifo"), "missing": str(tmp_path / "x.xml")}
         assert self.count([path[where]], "conflict") == 1
 
-    def test_conflict_one_process_without_fork(self, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
+    def test_conflict_one_process_without_fork(self, tmp_path, monkeypatch, capfdbinary):
+        argv, ranking = [str(DATA / "history.xml")], tmp_path / "rank.tsv"
+        one = conflict(monkeypatch, capfdbinary, 1, argv, ranking)
         monkeypatch.delattr(os, "fork")
-        assert self.count([str(DATA / "history.xml")], "conflict") == 1
+        assert conflict(monkeypatch, capfdbinary, 5, argv, ranking) == one
+        assert one[0] == 0 and one[1] and one[3]
 
     def test_usable_cpus(self):
         assert 1 <= cli._usable_cpus() <= (os.cpu_count() or 1)

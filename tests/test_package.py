@@ -78,3 +78,19 @@ def test_no_unreached_public_code():
         and not re.search(rf"\b{node.name}\b", documented)
     ]
     assert unreached == []
+
+
+def test_no_module_imports_multiprocessing():
+    """The package forks through one helper of its own, never a pool."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "multiprocessing" for name in names):
+                importers.append(path.name)
+    assert importers == []
